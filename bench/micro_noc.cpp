@@ -22,7 +22,10 @@ void BM_NetworkTickIdle(benchmark::State& state) {
   noc::Network net(cfg, &stats);
   net.set_deliver([](NodeId, const protocol::CoherenceMsg&) {});
   Cycle now{0};
-  for (auto _ : state) net.tick(++now);
+  for (auto _ : state) {
+    net.begin_cycle(++now);
+    net.tick_partition(0, now);
+  }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_NetworkTickIdle);
@@ -46,7 +49,8 @@ void BM_NetworkTickLoaded(benchmark::State& state) {
       msg.dst = dst;
       net.inject(msg, noc::kBChannel, Bytes{11}, now);
     }
-    net.tick(++now);
+    net.begin_cycle(++now);
+    net.tick_partition(0, now);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

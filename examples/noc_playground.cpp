@@ -30,6 +30,11 @@ LoadPoint run_load(const wire::LinkPartition& part, unsigned channel, double rat
   cfg.channels = noc::make_channels(part);
   StatRegistry stats;
   noc::Network net(cfg, &stats);
+  // A standalone network is one partition: partition 0's phases tick it all.
+  const auto tick = [&net](Cycle now) {
+    net.begin_cycle(now);
+    net.tick_partition(0, now);
+  };
   unsigned delivered = 0;
   net.set_deliver([&](NodeId, const protocol::CoherenceMsg&) { ++delivered; });
 
@@ -47,11 +52,11 @@ LoadPoint run_load(const wire::LinkPartition& part, unsigned channel, double rat
       msg.line = LineAddr{t};
       net.inject(msg, channel, Bytes{wire_bytes}, now);
     }
-    net.tick(++now);
+    tick(++now);
   }
   // Drain.
   Cycle guard = now + 200000;
-  while (!net.quiescent() && now < guard) net.tick(++now);
+  while (!net.quiescent_partition(0) && now < guard) tick(++now);
 
   const std::string name = cfg.channels[channel].name;
   LoadPoint p{};

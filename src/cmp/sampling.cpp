@@ -89,12 +89,7 @@ bool SampledRun::handoff_ready() const {
     const core::Core& core = *sys_.tiles_[c]->core;
     if (!(core.done() || core.drained() || sys_.at_barrier_[c])) return false;
   }
-  for (const auto& t : sys_.tiles_) {
-    if (!t->l1->quiescent() || !t->l1i->quiescent() || !t->dir->quiescent() ||
-        !t->loopback.empty())
-      return false;
-  }
-  return sys_.network_->quiescent() && sys_.network_->boundaries_empty();
+  return sys_.drained();
 }
 
 void SampledRun::drain() {
@@ -149,25 +144,23 @@ std::uint64_t SampledRun::fast_forward(bool stop_at_warmup_boundary) {
         const core::Op op = sys_.workload_->next(c);
         progress = true;
         switch (op.kind) {
-          case core::OpKind::kDone: {
+          case core::OpKind::kDone:
             core.warm_mark_done();
             remaining[c] = 0;
-            // Mirror step_impl: a finishing core can release a barrier
-            // everyone else is already in.
-            if (sys_.waiting_ > 0) {
-              unsigned done = 0;
-              for (const auto& t : sys_.tiles_)
-                if (t->core->done()) ++done;
-              if (sys_.waiting_ + done == n) sys_.release_barrier();
+            // A finishing core can release a barrier everyone else is
+            // already in.
+            if (sys_.barrier_complete(sys_.done_cores())) {
+              sys_.release_barrier();
             }
             break;
-          }
           case core::OpKind::kBarrier:
             // Same end state tick() reaches: the core waits, the controller
             // records the arrival (and releases — including the warmup
             // boundary — when the last stream gets here).
             core.warm_arrive_barrier();
-            sys_.on_barrier(c, op.count);
+            if (sys_.barrier_arrive(c, op.count, sys_.done_cores())) {
+              sys_.release_barrier();
+            }
             break;
           case core::OpKind::kCompute: {
             core.warm_advance_istream(op.count);

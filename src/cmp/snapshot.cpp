@@ -49,9 +49,8 @@ void CmpSystem::snapshot_io(Ar& ar) {
   ar.field(waiting_);
   ar.field(pending_barrier_id_);
 
-  // K > 1 slack telemetry publishes double-buffered stall snapshots; their
-  // presence depends on enable_slack_telemetry(), which both runs must have
-  // called identically.
+  // The slack probe's double-buffered stall snapshots (one per tile, at
+  // every K; written only while slack telemetry is on).
   ar.verify(stall_published_.size());
   ar.field(stall_published_);
   ar.field(stall_next_);

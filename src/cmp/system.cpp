@@ -25,13 +25,12 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
   TCMP_CHECK(cfg_.n_tiles == cfg_.mesh_width * cfg_.mesh_height);
   TCMP_CHECK(cfg_.threads >= 1);
   n_parts_ = plan_.num_partitions();
-  barrier_mode_ = n_parts_ > 1 ? BarrierMode::kRecord : BarrierMode::kSerial;
   part_of_.resize(cfg_.n_tiles);
   for (unsigned t = 0; t < cfg_.n_tiles; ++t) part_of_[t] = plan_.part_of(t);
 
-  // Partition shards. Partition 0 aliases stats_, so the K = 1 machine is
-  // exactly the seed's single-kernel, single-registry driver; every shard
-  // registers the same stat names, and merged_stats() folds them back.
+  // Partition shards. Partition 0 aliases stats_, so the K = 1 machine has a
+  // single kernel and a single registry; every shard registers the same stat
+  // names, and merged_stats() folds them back.
   std::vector<StatRegistry*> shards;
   for (unsigned p = 0; p < n_parts_; ++p) {
     auto part = std::make_unique<Partition>();
@@ -70,6 +69,8 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
   network_ = std::make_unique<noc::Network>(ncfg, plan_, shards);
 
   at_barrier_.assign(cfg_.n_tiles, false);
+  stall_published_.assign(cfg_.n_tiles, core::StallSnapshot{});
+  stall_next_.assign(cfg_.n_tiles, core::StallSnapshot{});
 
   for (unsigned t = 0; t < cfg_.n_tiles; ++t) {
     auto tile = std::make_unique<Tile>();
@@ -97,8 +98,8 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
     // Fill callbacks wrap the core notification with the slack-telemetry
     // unstall probe: when the core was provably stalled on this line, the
     // fill resolves every delivery parked against the stall (realized slack
-    // = unstall cycle - delivery cycle). slack_ is null unless an observer
-    // with telemetry enabled is attached, so the probe costs one branch.
+    // = unstall cycle - delivery cycle). The partition's slack sink is null
+    // unless slack telemetry is on, so the probe costs one branch.
     tile->l1->set_fill_callback(
         // tcmplint: tile-seam (same-tile fill callback wired at construction; never crosses a partition)
         [this, core = tile->core.get(), id](LineAddr line) {
@@ -120,20 +121,24 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
     });
     tiles_.push_back(std::move(tile));
   }
+  for (unsigned p = 0; p < n_parts_; ++p) {
+    Partition& P = *parts_[p];
+    P.first_tile = plan_.first(p);
+    P.tiles = std::span(tiles_).subspan(P.first_tile, plan_.count(p));
+  }
 
   network_->set_deliver([this](NodeId node, const CoherenceMsg& msg) {
     tiles_[node]->nic->receive(
         msg, now_, [this, node](const CoherenceMsg& m) { deliver_local(node, m); });
   });
 
-  // Register every component with its partition's event kernel (at K = 1
-  // that is the single kernel, in exactly the seed's order). Registration
-  // order is the next_wake() scan order: cores first (any runnable core
-  // makes the next cycle live and early-exits the scan), then the network,
-  // then the directories (pipeline deadlines), then the driver-level
-  // recurring events (telemetry sampling, periodic checks; partition 0),
-  // then the purely message-driven components (never wake sources;
-  // registered for the quiescence contract).
+  // Register every component with its partition's event kernel.
+  // Registration order is the next_wake() scan order: cores first (any
+  // runnable core makes the next cycle live and early-exits the scan), then
+  // the network, then the directories (pipeline deadlines), then the
+  // driver-level recurring events (telemetry sampling, periodic checks;
+  // partition 0), then the purely message-driven components (never wake
+  // sources; registered for the quiescence contract).
   auto obs_next = [this] { return obs_sample_due_; };
   obs_event_ = std::make_unique<sim::ScheduledEvent<decltype(obs_next)>>(obs_next);
   auto check_next = [this] { return check_due_; };
@@ -143,14 +148,10 @@ CmpSystem::CmpSystem(const CmpConfig& cfg, std::shared_ptr<core::Workload> workl
     sim::SimKernel& k = parts_[p]->kernel;
     const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
     for (unsigned t = lo; t < hi; ++t) k.add_component(tiles_[t]->core.get(), "core");
-    if (n_parts_ == 1) {
-      k.add_component(network_.get(), "network");
-    } else {
-      auto net_next = [this, p] { return network_->next_event_partition(p); };
-      parts_[p]->net_event =
-          std::make_unique<sim::ScheduledEvent<decltype(net_next)>>(net_next);
-      k.add_component(parts_[p]->net_event.get(), "network");
-    }
+    auto net_next = [this, p] { return network_->next_event_partition(p); };
+    parts_[p]->net_event =
+        std::make_unique<sim::ScheduledEvent<decltype(net_next)>>(net_next);
+    k.add_component(parts_[p]->net_event.get(), "network");
     for (unsigned t = lo; t < hi; ++t) k.add_component(tiles_[t]->dir.get(), "dir");
     if (p == 0) {
       k.add_component(obs_event_.get(), "obs.sampler");
@@ -194,11 +195,14 @@ bool CmpSystem::dump_postmortem() const {
 
 void CmpSystem::set_profiler(sim::SelfProfiler* prof) {
   TCMP_CHECK_MSG(prof == nullptr || n_parts_ == 1,
-                 "the self-profiler instruments the single-kernel loop "
+                 "the self-profiler instruments one thread's loop "
                  "(threads == 1)");
   prof_ = prof;
   if (prof == nullptr) return;
-  // Scope registration order is presentation order is lap order in step_impl.
+  // Scope registration order is presentation order. The laps of one cycle
+  // follow the driver: obs.sample (prologue); network .. cores, drain.check,
+  // kernel.scan (parallel phase); barrier, periodic.check (epilogue);
+  // idle.skip (run loop).
   sc_obs_ = prof->register_scope("obs.sample");
   sc_net_ = prof->register_scope("network");
   sc_loopback_ = prof->register_scope("loopback");
@@ -255,7 +259,7 @@ void CmpSystem::attach_observer(obs::Observer* obs) {
   }
   if (obs == nullptr) {
     obs_sample_due_ = kNeverCycle;
-    slack_ = nullptr;
+    parts_[0]->slack = nullptr;
     return;
   }
   // Slack telemetry rides every level that samples stats at all. Wire
@@ -264,10 +268,10 @@ void CmpSystem::attach_observer(obs::Observer* obs) {
   if (!obs->slack().enabled()) {
     obs->slack().init(&stats_, wire_class_names());
   }
-  slack_ = &obs->slack();
+  parts_[0]->slack = &obs->slack();
   // The observer reads the system clock directly: hooks stay timestamped
-  // without a per-cycle tick, and step() only calls into the observer when
-  // a time-series sample is actually due.
+  // without a per-cycle tick, and the cycle prologue only calls into the
+  // observer when a time-series sample is actually due.
   obs->set_clock(&now_);
   obs_sample_due_ = obs->timeseries().next_boundary();
   obs->label_tiles(cfg_.n_tiles);
@@ -287,7 +291,7 @@ void CmpSystem::attach_observer(obs::Observer* obs) {
 void CmpSystem::route_outgoing(NodeId tile, CoherenceMsg msg) {
   Partition& P = *parts_[part_of_[tile]];
   ++P.msg_counters[static_cast<unsigned>(msg.type)];
-  if (slack_for(tile) != nullptr) [[unlikely]] {
+  if (P.slack != nullptr) [[unlikely]] {
     // Tag at injection with the requesting core's state; the tag travels
     // with the message (telemetry-only field) and is read back at delivery.
     msg.slack_class = static_cast<std::uint8_t>(
@@ -326,17 +330,10 @@ bool CmpSystem::beneficiary_stalled(const CoherenceMsg& msg) const {
   if (b >= tiles_.size()) return false;
   const bool want_ifetch = msg.type == protocol::MsgType::kGetInstr ||
                            msg.dst_unit == protocol::Unit::kL1I;
-  if (n_parts_ > 1) {
-    // Cross-partition form of the probe: the beneficiary may live in another
-    // partition, so read the previous cycle's published stall snapshot
-    // instead of the live core. Used for every beneficiary at K > 1 so the
-    // classification does not depend on the partition count — the one
-    // documented divergence from K = 1 (docs/partitioning.md).
-    const core::StallSnapshot& snap = stall_published_[b];
-    return want_ifetch ? snap.ifetch : (snap.mem && snap.line == msg.line);
-  }
-  if (want_ifetch) return tiles_[b]->core->stalled_on_ifetch();
-  return tiles_[b]->core->stalled_on(msg.line);
+  // The beneficiary may live in another partition, so the probe reads the
+  // previous cycle's published stall snapshot, never the live core.
+  const core::StallSnapshot& snap = stall_published_[b];
+  return want_ifetch ? snap.ifetch : (snap.mem && snap.line == msg.line);
 }
 
 void CmpSystem::deliver_local(NodeId tile, const CoherenceMsg& msg) {
@@ -372,26 +369,29 @@ void CmpSystem::deliver_local(NodeId tile, const CoherenceMsg& msg) {
 }
 
 void CmpSystem::on_barrier(unsigned core, std::uint32_t id) {
-  if (barrier_mode_ == BarrierMode::kRecord) {
-    // Parallel phase: queue the arrival; the serial epilogue replays the
-    // per-partition lists in global tile order (docs/partitioning.md).
-    parts_[part_of_[core]]->events.push_back(BarrierEvent{core, id, false});
-    return;
-  }
-  if (barrier_mode_ == BarrierMode::kReplay) {
+  if (replaying_) {
     replay_arrival(core, id);
     return;
   }
+  // Parallel phase: queue the arrival; the serial epilogue replays the
+  // per-partition lists in global tile order (docs/partitioning.md).
+  parts_[part_of_[core]]->events.push_back(BarrierEvent{core, id, false});
+}
+
+bool CmpSystem::barrier_arrive(unsigned core, std::uint32_t id, unsigned done) {
   TCMP_CHECK(!at_barrier_[core]);
   at_barrier_[core] = true;
   pending_barrier_id_ = id;
   ++waiting_;
   ++barrier_arrivals_;
+  return barrier_complete(done);
+}
 
+unsigned CmpSystem::done_cores() const {
   unsigned done = 0;
   for (const auto& t : tiles_)
     if (t->core->done()) ++done;
-  if (waiting_ + done == cfg_.n_tiles) release_barrier();
+  return done;
 }
 
 void CmpSystem::release_barrier() {
@@ -439,65 +439,40 @@ void CmpSystem::set_periodic_check(Cycle interval, PeriodicCheck check) {
 }
 
 void CmpSystem::step() {
-  if (n_parts_ > 1) {
-    step_partitioned();
-    return;
-  }
-  step_impl<false>();
+  prologue<false>();
+  for (unsigned p = 0; p < n_parts_; ++p) parallel_phase<false>(p, false);
+  serial_epilogue<false>();
 }
 
-template <bool kProfiled>
-void CmpSystem::step_impl() {
-  ++now_;
-  // Hoisted from the seed's per-cycle `obs_ != nullptr` branch: the observer
-  // reads the clock through set_clock, so it only needs a call when a
-  // time-series sample is due (obs_sample_due_ is kNeverCycle when detached).
-  if (now_ >= obs_sample_due_) [[unlikely]] {
-    obs_->sample_tick(now_);
-    obs_sample_due_ = obs_->timeseries().next_boundary();
-  }
-  if constexpr (kProfiled) prof_->lap(sc_obs_);
-  network_->tick(now_);
-  if constexpr (kProfiled) prof_->lap(sc_net_);
-  for (auto& t : tiles_) {
-    while (auto msg = t->loopback.pop_ready(now_)) {
-      deliver_local(msg->dst, *msg);
+bool CmpSystem::partition_drained(unsigned p) const {
+  for (const auto& t : parts_[p]->tiles) {
+    if (!t->l1->quiescent() || !t->l1i->quiescent() || !t->dir->quiescent() ||
+        !t->loopback.empty()) {
+      return false;
     }
   }
-  if constexpr (kProfiled) prof_->lap(sc_loopback_);
-  for (auto& t : tiles_) t->dir->tick(now_);
-  if constexpr (kProfiled) prof_->lap(sc_dirs_);
-  for (auto& t : tiles_) t->core->tick(now_);
-  if constexpr (kProfiled) prof_->lap(sc_cores_);
+  return network_->quiescent_partition(p);
+}
 
-  // A core finishing can release a barrier everyone else is already in.
-  if (waiting_ > 0) {
-    unsigned done = 0;
-    for (const auto& t : tiles_)
-      if (t->core->done()) ++done;
-    if (waiting_ + done == cfg_.n_tiles) release_barrier();
+bool CmpSystem::partition_finished(unsigned p) const {
+  for (const auto& t : parts_[p]->tiles) {
+    if (!t->core->done()) return false;
   }
-  if constexpr (kProfiled) prof_->lap(sc_barrier_);
+  return partition_drained(p);
+}
 
-  // Hoisted from the seed's `now_ % check_interval_ == 0` test: check_due_
-  // tracks the next multiple of the interval (kNeverCycle when uninstalled).
-  if (now_ >= check_due_) [[unlikely]] {
-    if (!periodic_check_(now_)) aborted_ = true;
-    check_due_ += check_interval_;
+bool CmpSystem::drained() const {
+  for (unsigned p = 0; p < n_parts_; ++p) {
+    if (!partition_drained(p)) return false;
   }
-  if constexpr (kProfiled) prof_->lap(sc_check_);
+  return network_->boundaries_empty();
 }
 
 bool CmpSystem::finished() const {
-  for (const auto& t : tiles_) {
-    if (!t->core->done()) return false;
+  for (unsigned p = 0; p < n_parts_; ++p) {
+    if (!partition_finished(p)) return false;
   }
-  for (const auto& t : tiles_) {
-    if (!t->l1->quiescent() || !t->l1i->quiescent() || !t->dir->quiescent() ||
-        !t->loopback.empty())
-      return false;
-  }
-  return network_->quiescent() && network_->boundaries_empty();
+  return network_->boundaries_empty();
 }
 
 void CmpSystem::advance_idle(Cycle target) {
@@ -511,177 +486,202 @@ void CmpSystem::advance_idle(Cycle target) {
 }
 
 bool CmpSystem::run(Cycle max_cycles) {
-  if (n_parts_ > 1) return run_partitioned(max_cycles);
-  if (prof_ != nullptr) {
-    // Lap-based attribution: the laps tile the whole loop contiguously, so
-    // the table accounts for (nearly) all of run()'s wall time.
-    prof_->start_run();
-    const bool ok = run_loop<true>(max_cycles);
-    prof_->stop_run();
-    return ok;
-  }
-  return run_loop<false>(max_cycles);
+  if (prof_ == nullptr) return run_loop<false>(max_cycles);
+  // Lap-based attribution: the laps tile the whole loop contiguously, so
+  // the table accounts for (nearly) all of run()'s wall time.
+  prof_->start_run();
+  const bool ok = run_loop<true>(max_cycles);
+  prof_->stop_run();
+  return ok;
 }
 
 template <bool kProfiled>
 bool CmpSystem::run_loop(Cycle max_cycles) {
-  while (now_ < max_cycles && !aborted_) {
-    step_impl<kProfiled>();
-    const bool done = finished();
-    if constexpr (kProfiled) prof_->lap(sc_drain_);
-    if (done) return !aborted_;
-    if (!dead_cycle_skipping_) continue;
-    Cycle nxt{0};
-    if constexpr (kProfiled) {
-      nxt = parts_[0]->kernel.next_wake_counted(now_);
-      prof_->lap(sc_scan_);
-    } else {
-      nxt = parts_[0]->kernel.next_wake(now_);
+  // Partitions 1..K-1 run on worker threads; this thread runs partition 0
+  // and the serial prologue/epilogue. K = 1 needs neither thread nor barrier.
+  std::unique_ptr<sim::SpinBarrier> barrier;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  if (n_parts_ > 1) {
+    barrier = std::make_unique<sim::SpinBarrier>(n_parts_);
+    workers.reserve(n_parts_ - 1);
+    for (unsigned p = 1; p < n_parts_; ++p) {
+      workers.emplace_back([this, p, &barrier, &stop] {
+        for (;;) {
+          barrier->arrive_and_wait();  // cycle start: prologue published
+          if (stop.load(std::memory_order_acquire)) return;
+          parallel_phase<false>(p, true);
+          barrier->arrive_and_wait();  // cycle end: hand over to the epilogue
+        }
+      });
     }
-    if (nxt <= now_ + 1) continue;
+  }
+  bool completed = false;
+  while (now_ < max_cycles && !aborted_) {
+    prologue<kProfiled>();
+    if (barrier) barrier->arrive_and_wait();
+    parallel_phase<kProfiled>(0, true);
+    if (barrier) barrier->arrive_and_wait();
+    const Cycle nxt = serial_epilogue<kProfiled>();
+    if (epilogue_finished_) {
+      completed = true;
+      break;
+    }
+    if (!dead_cycle_skipping_ || nxt <= now_ + 1) continue;
     // Every cycle in (now_, nxt) is globally dead: jump to just before the
     // next live cycle. kNeverCycle (deadlock: nothing will ever act again)
-    // clamps to the horizon, replicating the seed's spin to max_cycles —
+    // clamps to the horizon, replicating a per-cycle spin to max_cycles —
     // including its blocked-core accounting.
     advance_idle(std::min(Cycle{nxt.value() - 1}, max_cycles));
     if constexpr (kProfiled) prof_->lap(sc_idle_);
   }
-  return finished() && !aborted_;
+  if (barrier) {
+    stop.store(true, std::memory_order_release);
+    barrier->arrive_and_wait();
+    for (auto& w : workers) w.join();
+  }
+  return (completed || finished()) && !aborted_;
 }
 
-// --- Partitioned driver (K > 1; docs/partitioning.md) -----------------------
-
-bool CmpSystem::partition_finished(unsigned p) const {
-  const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
-  for (unsigned t = lo; t < hi; ++t) {
-    if (!tiles_[t]->core->done()) return false;
+template <bool kProfiled>
+void CmpSystem::prologue() {
+  ++now_;
+  // The observer reads the clock through set_clock, so it only needs a call
+  // when a time-series sample is due (obs_sample_due_ is kNeverCycle when
+  // detached). Sampling precedes every partition phase.
+  if (now_ >= obs_sample_due_) [[unlikely]] {
+    obs_->sample_tick(now_);
+    obs_sample_due_ = obs_->timeseries().next_boundary();
   }
-  for (unsigned t = lo; t < hi; ++t) {
-    if (!tiles_[t]->l1->quiescent() || !tiles_[t]->l1i->quiescent() ||
-        !tiles_[t]->dir->quiescent() || !tiles_[t]->loopback.empty()) {
-      return false;
-    }
-  }
-  return network_->quiescent_partition(p);
+  network_->begin_cycle(now_);
+  if constexpr (kProfiled) prof_->lap(sc_obs_);
 }
 
-void CmpSystem::parallel_phase(unsigned p) {
+template <bool kProfiled>
+void CmpSystem::parallel_phase(unsigned p, bool lookahead) {
   Partition& P = *parts_[p];
-  const unsigned lo = plan_.first(p), hi = plan_.first(p + 1);
+  const auto tiles = P.tiles;
+  const Cycle now = now_;
   // Apply the boundary events the last serial epilogue published for this
-  // partition, then run the exact component sequence step_impl runs, cut to
-  // this partition's tiles and routers.
+  // partition, then tick the partition's network, loopbacks, directories
+  // and cores in the per-cycle loop's component order.
   network_->drain_boundary(p);
-  network_->tick_partition(p, now_);
-  for (unsigned t = lo; t < hi; ++t) {
-    while (auto msg = tiles_[t]->loopback.pop_ready(now_)) {
-      deliver_local(msg->dst, *msg);
-    }
+  network_->tick_partition(p, now);
+  if constexpr (kProfiled) prof_->lap(sc_net_);
+  for (const auto& t : tiles) {
+    while (auto msg = t->loopback.pop_ready(now)) deliver_local(msg->dst, *msg);
   }
-  for (unsigned t = lo; t < hi; ++t) tiles_[t]->dir->tick(now_);
-  for (unsigned t = lo; t < hi; ++t) {
-    // Ticking a done core is a no-op, so skipping it is free — and it lets
-    // the tick below detect the run->done transition, which the barrier
-    // replay needs at this core's position in serial tile order.
-    if (tiles_[t]->core->done()) continue;
-    tiles_[t]->core->tick(now_);
-    if (tiles_[t]->core->done()) {
-      P.events.push_back(BarrierEvent{t, 0, true});
+  if constexpr (kProfiled) prof_->lap(sc_loopback_);
+  for (const auto& t : tiles) t->dir->tick(now);
+  if constexpr (kProfiled) prof_->lap(sc_dirs_);
+  for (unsigned i = 0; i < tiles.size(); ++i) {
+    // The barrier replay needs each run->done transition at its core's
+    // position in tile order.
+    if (tiles[i]->core->tick(now)) {
+      P.events.push_back(BarrierEvent{P.first_tile + i, 0, true});
     }
   }
   if (P.slack != nullptr) {
-    for (unsigned t = lo; t < hi; ++t) {
-      tiles_[t]->core->snapshot_stall(stall_next_[t]);
+    for (unsigned i = 0; i < tiles.size(); ++i) {
+      tiles[i]->core->snapshot_stall(stall_next_[P.first_tile + i]);
     }
   }
+  if constexpr (kProfiled) prof_->lap(sc_cores_);
+  if (!lookahead) return;
   P.finished = partition_finished(p);
-  P.next_wake = P.kernel.next_wake(now_);
+  if constexpr (kProfiled) prof_->lap(sc_drain_);
+  if (!dead_cycle_skipping_) return;
+  if constexpr (kProfiled) {
+    P.next_wake = P.kernel.next_wake_counted(now);
+    prof_->lap(sc_scan_);
+  } else {
+    P.next_wake = P.kernel.next_wake(now);
+  }
 }
 
 void CmpSystem::replay_arrival(unsigned core, std::uint32_t id) {
-  TCMP_CHECK(!at_barrier_[core]);
-  at_barrier_[core] = true;
-  pending_barrier_id_ = id;
-  ++waiting_;
-  ++barrier_arrivals_;
-  if (waiting_ + replay_done_count_ == cfg_.n_tiles) {
-    // This arrival completes the barrier. Cores after `core` in tile order
-    // that were already waiting ticked blocked in the parallel phase, but
-    // the serial driver would have released them before their tick: undo the
-    // provisional blocked tick and re-tick them at their replay position.
-    for (unsigned w = core + 1; w < cfg_.n_tiles; ++w) {
-      if (at_barrier_[w]) {
-        tiles_[w]->core->undo_blocked_tick();
-        replay_retick_[w] = true;
-      }
+  if (!barrier_arrive(core, id, replay_done_count_)) return;
+  // This arrival completes the barrier. Cores after `core` in tile order
+  // that were already waiting ticked blocked in the parallel phase, but in
+  // tile order they are released before their tick: undo the provisional
+  // blocked tick and re-tick them at their replay position.
+  for (unsigned w = core + 1; w < cfg_.n_tiles; ++w) {
+    if (at_barrier_[w]) {
+      tiles_[w]->core->undo_blocked_tick();
+      replay_retick_[w] = true;
     }
-    release_barrier();
-    replay_any_action_ = true;
   }
+  release_barrier();
+  replay_any_action_ = true;
 }
 
 bool CmpSystem::replay_barrier_events() {
   // Cores done *before this cycle*: total done now minus the run->done
-  // transitions the parallel phases recorded. The serial driver's arrival
-  // check counts a core as done only once serial order has passed its
-  // transition; the cursor walk below adds them back one by one.
-  unsigned done_now = 0;
-  for (const auto& t : tiles_)
-    if (t->core->done()) ++done_now;
+  // transitions the parallel phases recorded. A tile-order arrival check
+  // counts a core as done only once tile order has passed its transition;
+  // the cursor walk below adds them back one by one.
   unsigned done_events = 0;
-  bool any_events = false;
   for (const auto& part : parts_) {
-    if (!part->events.empty()) any_events = true;
     for (const BarrierEvent& e : part->events)
       if (e.done) ++done_events;
   }
-  replay_done_count_ = done_now - done_events;
+  replay_done_count_ = done_cores() - done_events;
   replay_any_action_ = false;
-  if (any_events) {
-    // Concatenating the per-partition lists yields global tile order:
-    // partitions own contiguous tile ranges and record in tile order.
-    std::vector<BarrierEvent> ev;
-    for (auto& part : parts_) {
-      ev.insert(ev.end(), part->events.begin(), part->events.end());
-      part->events.clear();
-    }
-    replay_retick_.assign(cfg_.n_tiles, false);
-    barrier_mode_ = BarrierMode::kReplay;
-    std::size_t cursor = 0;
-    for (unsigned t = 0; t < cfg_.n_tiles; ++t) {
-      if (replay_retick_[t]) {
-        // Released by an earlier arrival this cycle: this is the core's real
-        // tick for the cycle (its provisional blocked tick was undone). It
-        // can arrive at the next barrier or finish right here; both route
-        // back through the replay bookkeeping.
-        tiles_[t]->core->tick(now_);
-        if (tiles_[t]->core->done()) ++replay_done_count_;
-        replay_any_action_ = true;
-      }
-      while (cursor < ev.size() && ev[cursor].core == t) {
-        if (ev[cursor].done) {
-          ++replay_done_count_;
-        } else {
-          replay_arrival(t, ev[cursor].id);
-        }
-        ++cursor;
-      }
-    }
-    barrier_mode_ = BarrierMode::kRecord;
+  // Concatenating the per-partition lists yields global tile order:
+  // partitions own contiguous tile ranges and record in tile order.
+  std::vector<BarrierEvent> ev;
+  for (auto& part : parts_) {
+    ev.insert(ev.end(), part->events.begin(), part->events.end());
+    part->events.clear();
   }
-  // The serial driver's post-tick check: a core finishing can release a
-  // barrier every other core is already in.
-  if (waiting_ > 0 && waiting_ + replay_done_count_ == cfg_.n_tiles) {
+  replay_retick_.assign(cfg_.n_tiles, false);
+  replaying_ = true;
+  std::size_t cursor = 0;
+  for (unsigned t = 0; t < cfg_.n_tiles; ++t) {
+    if (replay_retick_[t]) {
+      // Released by an earlier arrival this cycle: this is the core's real
+      // tick for the cycle (its provisional blocked tick was undone). It can
+      // arrive at the next barrier or finish right here; both route back
+      // through the replay bookkeeping.
+      if (tiles_[t]->core->tick(now_)) ++replay_done_count_;
+      replay_any_action_ = true;
+    }
+    while (cursor < ev.size() && ev[cursor].core == t) {
+      if (ev[cursor].done) {
+        ++replay_done_count_;
+      } else {
+        replay_arrival(t, ev[cursor].id);
+      }
+      ++cursor;
+    }
+  }
+  replaying_ = false;
+  // The end-of-cycle check: a core finishing can release a barrier every
+  // other core is already in.
+  if (barrier_complete(replay_done_count_)) {
     release_barrier();
     replay_any_action_ = true;
   }
   return replay_any_action_;
 }
 
+template <bool kProfiled>
 Cycle CmpSystem::serial_epilogue() {
-  const bool action = replay_barrier_events();
+  bool any_events = false;
+  bool fin = true;
+  Cycle nxt = kNeverCycle;
+  for (const auto& part : parts_) {
+    any_events |= !part->events.empty();
+    fin = fin && part->finished;
+    nxt = std::min(nxt, part->next_wake);
+  }
+  // Without an arrival or a done transition this cycle the barrier state is
+  // the one the previous check (the replay's, or the sampling fast-forward's)
+  // already found incomplete, so there is nothing to replay.
+  const bool action = any_events && replay_barrier_events();
   // Publish this cycle's stall snapshots for the next cycle's slack probes.
-  if (!stall_next_.empty()) stall_published_.swap(stall_next_);
+  if (parts_[0]->slack != nullptr) stall_published_.swap(stall_next_);
+  if constexpr (kProfiled) prof_->lap(sc_barrier_);
   if (now_ >= check_due_) [[unlikely]] {
     if (!periodic_check_(now_)) aborted_ = true;
     check_due_ += check_interval_;
@@ -691,64 +691,15 @@ Cycle CmpSystem::serial_epilogue() {
     // Barrier releases / re-ticks may have produced new work anywhere; the
     // partitions' cached wake calendars are stale. Run the next cycle live.
     epilogue_finished_ = finished();
-    return now_ + 1;
+    nxt = now_ + 1;
+  } else {
+    epilogue_finished_ = fin && boundary_next == kNeverCycle;
+    nxt = std::min(nxt, boundary_next);
   }
-  bool fin = boundary_next == kNeverCycle;
-  for (unsigned p = 0; fin && p < n_parts_; ++p) fin = parts_[p]->finished;
-  epilogue_finished_ = fin;
-  Cycle nxt = boundary_next;
-  for (const auto& part : parts_) nxt = std::min(nxt, part->next_wake);
+  // One lap for the check and the decision: at K = 1, the only profiled K,
+  // the exchange is empty and the decision a few compares.
+  if constexpr (kProfiled) prof_->lap(sc_check_);
   return nxt;
-}
-
-void CmpSystem::step_partitioned() {
-  ++now_;
-  network_->begin_cycle(now_);
-  // Sequential execution of the parallel phases is equivalent to the
-  // threaded run: the phases only exchange state through the double-buffered
-  // boundary channels and stall snapshots, both swapped by the epilogue.
-  for (unsigned p = 0; p < n_parts_; ++p) parallel_phase(p);
-  serial_epilogue();
-}
-
-bool CmpSystem::run_partitioned(Cycle max_cycles) {
-  TCMP_CHECK(n_parts_ > 1);
-  sim::SpinBarrier barrier(n_parts_);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
-  workers.reserve(n_parts_ - 1);
-  for (unsigned p = 1; p < n_parts_; ++p) {
-    workers.emplace_back([this, p, &barrier, &stop] {
-      for (;;) {
-        barrier.arrive_and_wait();  // cycle start: prologue published
-        if (stop.load(std::memory_order_acquire)) return;
-        parallel_phase(p);
-        barrier.arrive_and_wait();  // cycle end: hand over to the epilogue
-      }
-    });
-  }
-  bool completed = false;
-  while (now_ < max_cycles && !aborted_) {
-    ++now_;
-    network_->begin_cycle(now_);
-    barrier.arrive_and_wait();
-    parallel_phase(0);
-    barrier.arrive_and_wait();
-    const Cycle nxt = serial_epilogue();
-    if (epilogue_finished_) {
-      completed = true;
-      break;
-    }
-    if (!dead_cycle_skipping_) continue;
-    if (nxt <= now_ + 1) continue;
-    // Same dead-cycle rule as run_loop, with the boundary-channel deadlines
-    // folded in (exchange_boundaries returned them in nxt).
-    advance_idle(std::min(Cycle{nxt.value() - 1}, max_cycles));
-  }
-  stop.store(true, std::memory_order_release);
-  barrier.arrive_and_wait();
-  for (auto& w : workers) w.join();
-  return (completed || finished()) && !aborted_;
 }
 
 const StatRegistry& CmpSystem::merged_stats() const {
@@ -776,27 +727,19 @@ void CmpSystem::enable_slack_telemetry() {
   if (parts_[0]->slack != nullptr) return;
   const std::vector<std::string> wires = wire_class_names();
   for (auto& part : parts_) {
-    part->slack = std::make_unique<obs::SlackTelemetry>();
-    part->slack->init(part->shard, wires);
+    part->owned_slack = std::make_unique<obs::SlackTelemetry>();
+    part->owned_slack->init(part->shard, wires);
+    part->slack = part->owned_slack.get();
   }
-  stall_published_.assign(cfg_.n_tiles, core::StallSnapshot{});
-  stall_next_.assign(cfg_.n_tiles, core::StallSnapshot{});
 }
 
 void CmpSystem::write_slack_table(std::ostream& out) {
-  if (n_parts_ == 1) {
-    if (slack_ == nullptr) return;
-    slack_->finalize();
-    slack_->write_table(out);
-    return;
-  }
   if (parts_[0]->slack == nullptr) return;
   for (auto& part : parts_) part->slack->finalize();
-  // Fold the shards and read the table through a throwaway telemetry bound
-  // to the merged registry: init() re-interns the same stat names, so the
-  // view sees the reassembled distributions.
-  StatRegistry folded;
-  for (const auto& part : parts_) folded.merge_from(*part->shard);
+  // Read the table through a throwaway telemetry bound to a copy of the
+  // merged registry: init() re-interns the same stat names, so the view sees
+  // the reassembled distributions.
+  StatRegistry folded = merged_stats();
   obs::SlackTelemetry view;
   view.init(&folded, wire_class_names());
   view.write_table(out);
@@ -805,8 +748,12 @@ void CmpSystem::write_slack_table(std::ostream& out) {
 void CmpSystem::dump_state(std::ostream& out) const {
   out << "=== CmpSystem @ cycle " << now_.value() << " (" << cfg_.name()
       << ") ===\n";
+  bool net_quiescent = network_->boundaries_empty();
+  for (unsigned p = 0; p < n_parts_; ++p) {
+    net_quiescent = net_quiescent && network_->quiescent_partition(p);
+  }
   out << "warmup_done=" << warmup_done_ << " waiting_at_barrier=" << waiting_
-      << " network_quiescent=" << network_->quiescent() << "\n";
+      << " network_quiescent=" << net_quiescent << "\n";
   for (unsigned tidx = 0; tidx < cfg_.n_tiles; ++tidx) {
     const Tile& t = *tiles_[tidx];
     out << "tile " << tidx << ": core "

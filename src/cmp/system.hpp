@@ -6,28 +6,30 @@
 //
 // Timing is event-scheduled (sim/kernel.hpp): every component implements the
 // Scheduled contract, and run() jumps the clock across globally dead cycles
-// instead of ticking an idle machine. Each *live* cycle still executes the
-// full classic step() in the classic order, so results are bit-identical to
-// the plain per-cycle loop (docs/kernel.md).
+// instead of ticking an idle machine. Every live cycle executes the same
+// component sequence as the plain per-cycle loop, so results are
+// bit-identical to it (docs/kernel.md).
 //
-// With CmpConfig::threads = K > 1 the tile array is split into K contiguous
-// row-block partitions (sim/partition.hpp), each with its own SimKernel wake
-// calendar and StatRegistry shard, executed in cycle lockstep on K threads.
-// Cross-partition interaction is message-only: NoC flits/credits ride
-// boundary channels swapped once per cycle under the >= 1-cycle link
+// One cycle driver serves every CmpConfig::threads = K. The tile array is
+// split into K contiguous row-block partitions (sim/partition.hpp), each with
+// its own SimKernel wake calendar and StatRegistry shard; K = 1 is the
+// one-partition case, run on the calling thread with no worker and no spin
+// barrier. A live cycle is a serial prologue, one parallel phase per
+// partition (on K threads in cycle lockstep when K > 1), then a serial
+// epilogue. Cross-partition interaction is message-only: NoC flits/credits
+// ride boundary channels swapped once per cycle under the >= 1-cycle link
 // synchronization horizon, barrier arrivals are recorded as events and
 // replayed serially in tile order, and the slack beneficiary probe reads a
-// double-buffered stall snapshot. Simulation results are deterministic and
-// independent of K — byte-identical to the seed's single-threaded driver at
-// K = 1, equal counter maps at any K (docs/partitioning.md; the one
-// documented exception is slack *classification*, which at K > 1 reads the
-// previous cycle's stall snapshot instead of live core state).
+// double-buffered stall snapshot from the previous cycle. Simulation results
+// are deterministic and independent of K: the reports and counter maps —
+// slack telemetry included — are equal at any K (docs/partitioning.md).
 #pragma once
 
 #include <array>
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include <string>
@@ -69,7 +71,10 @@ class CmpSystem {
   /// cycles via the event kernel (see set_dead_cycle_skipping).
   bool run(Cycle max_cycles = Cycle{500'000'000});
 
-  /// Single simulation step (tests). Always advances exactly one cycle.
+  /// Single simulation step (tests, the sampling driver). Always advances
+  /// exactly one cycle; the partition phases run in index order on the
+  /// calling thread, which the double-buffered boundary state makes
+  /// equivalent to the threaded run.
   void step();
 
   /// Disable/enable dead-cycle skipping in run(). Results are bit-identical
@@ -78,17 +83,18 @@ class CmpSystem {
   void set_dead_cycle_skipping(bool on) { dead_cycle_skipping_ = on; }
   [[nodiscard]] bool dead_cycle_skipping() const { return dead_cycle_skipping_; }
 
-  /// The event kernel (tests: wake-calendar and next-wake behavior). At
-  /// K > 1 this is partition 0's kernel; each partition owns its own.
+  /// The event kernel (tests: wake-calendar and next-wake behavior): partition
+  /// 0's, which at K = 1 is the only one; each partition owns its own.
   [[nodiscard]] sim::SimKernel& kernel() { return parts_[0]->kernel; }
   [[nodiscard]] const sim::SimKernel& kernel() const { return parts_[0]->kernel; }
-  /// Partitions the tile array is split into (1 == the seed's driver).
+  /// Partitions the tile array is split into (the effective K).
   [[nodiscard]] unsigned num_partitions() const { return n_parts_; }
 
   /// Measured cycles (excludes the functional-warmup phase, if any).
   [[nodiscard]] Cycle cycles() const { return now_ - measure_start_; }
   [[nodiscard]] Cycle total_cycles() const { return now_; }
   [[nodiscard]] bool warmup_done() const { return warmup_done_; }
+  /// Every core done and the machine drained (see drained()).
   [[nodiscard]] bool finished() const;
   [[nodiscard]] std::uint64_t total_instructions() const;
   [[nodiscard]] std::uint64_t compression_accesses() const;
@@ -153,25 +159,26 @@ class CmpSystem {
   /// occupancy gauges. Null detaches. The observer must outlive the system
   /// (or be detached first). At levels >= kTimeseries this also enables the
   /// slack/criticality telemetry (obs/slack.hpp): messages are tagged at
-  /// injection and realized slack is measured at core unstall. Observers are
-  /// a single-threaded feature: attaching one requires threads == 1 (their
+  /// injection and realized slack is measured at core unstall; the observer's
+  /// telemetry becomes partition 0's slack sink. Observers are a
+  /// single-threaded feature: attaching one requires threads == 1 (their
   /// trace/window state is shared across tiles). At K > 1 the only supported
   /// telemetry is the sharded slack path below.
   void attach_observer(obs::Observer* obs);
 
-  /// K > 1 replacement for observer-carried slack telemetry: one
-  /// SlackTelemetry shard per partition, registered on that partition's
-  /// registry shard under the same stat names, so the report-time merge
-  /// reassembles the single-threaded distributions. Call before run().
+  /// Slack telemetry without an observer (K > 1): one SlackTelemetry shard
+  /// per partition, registered on that partition's registry shard under the
+  /// same stat names, so the report-time merge reassembles the
+  /// distributions a K = 1 observer records. Call before run().
   void enable_slack_telemetry();
   /// Write the slack class x wire table (tcmpsim --slack-report): finalizes
-  /// and reads the attached observer's telemetry at K = 1, the merged
-  /// partition shards at K > 1. No-op when slack telemetry is off.
+  /// every partition's slack sink and reads the merged registry view. No-op
+  /// when slack telemetry is off.
   void write_slack_table(std::ostream& out);
 
-  /// Attach an opt-in host-time self-profiler (sim/profiler.hpp): run()
-  /// switches to an instrumented loop that attributes wall time per driver
-  /// section and per kernel phase (pull scan / dead-cycle skip). Null
+  /// Attach an opt-in host-time self-profiler (sim/profiler.hpp; threads ==
+  /// 1): run() switches to an instrumented loop that attributes wall time per
+  /// driver section and per kernel phase (pull scan / dead-cycle skip). Null
   /// detaches (the unprofiled loop carries zero instrumentation). Results
   /// are bit-identical either way.
   void set_profiler(sim::SelfProfiler* prof);
@@ -239,9 +246,12 @@ class CmpSystem {
   };
 
   /// One partition's private simulation state (docs/partitioning.md). At
-  /// K = 1 there is exactly one, whose shard aliases stats_ — the seed's
-  /// single-kernel, single-registry driver.
+  /// K = 1 there is exactly one, whose shard aliases stats_.
   struct Partition {
+    /// The partition's tiles (a contiguous row block, in tile order) and the
+    /// id of the first one.
+    std::span<const std::unique_ptr<Tile>> tiles;
+    unsigned first_tile = 0;
     sim::SimKernel kernel;
     std::unique_ptr<StatRegistry> owned_shard;  ///< null for partition 0
     StatRegistry* shard = nullptr;              ///< == &stats_ for partition 0
@@ -251,72 +261,84 @@ class CmpSystem {
     CounterRef local_count;
     CounterRef remote_count;
     CounterRef remote_bytes;
-    /// K > 1: adapter exposing Network::next_event_partition to the kernel.
+    /// Adapter exposing Network::next_event_partition to the kernel.
     std::unique_ptr<sim::Scheduled> net_event;
     /// Barrier arrivals / done transitions recorded (tile-ordered) during
     /// the parallel phase, replayed serially (replay_barrier_events).
     std::vector<BarrierEvent> events;
-    /// K > 1 slack shard (enable_slack_telemetry); null when slack is off.
-    std::unique_ptr<obs::SlackTelemetry> slack;
+    /// The partition's slack sink: the attached observer's telemetry at
+    /// K = 1, owned_slack at K > 1 (enable_slack_telemetry); null when slack
+    /// telemetry is off.
+    std::unique_ptr<obs::SlackTelemetry> owned_slack;
+    obs::SlackTelemetry* slack = nullptr;
     // Epilogue inputs, written by the owning thread at the end of its
     // parallel phase and read serially between the barriers.
     bool finished = false;
     Cycle next_wake{0};
   };
 
-  /// How on_barrier reacts: the seed's immediate serial handling (K = 1),
-  /// event recording (K > 1 parallel phase), or direct replay handling
-  /// (re-ticked cores inside replay_barrier_events). Written only between
-  /// the cycle barriers, so parallel-phase reads are race-free.
-  enum class BarrierMode : std::uint8_t { kSerial, kRecord, kReplay };
-
   void route_outgoing(NodeId tile, protocol::CoherenceMsg msg);
   void deliver_local(NodeId tile, const protocol::CoherenceMsg& msg);
-  /// Slack telemetry: is the core that benefits from `msg` (the requester
-  /// whose miss it serves) currently stalled waiting for it? At K > 1 this
-  /// reads the previous cycle's published stall snapshot — the cross-
-  /// partition form of the probe (docs/partitioning.md).
+  /// Slack telemetry: was the core that benefits from `msg` (the requester
+  /// whose miss it serves) stalled waiting for it? Reads the previous
+  /// cycle's published stall snapshot: the beneficiary may live in another
+  /// partition, and one probe for every K keeps the classification
+  /// K-invariant (docs/partitioning.md).
   [[nodiscard]] bool beneficiary_stalled(const protocol::CoherenceMsg& msg) const;
-  /// The slack telemetry sink for events on `tile`: the observer's (K = 1)
-  /// or the owning partition's shard (K > 1); null when slack is off.
+  /// The slack telemetry sink for events on `tile` (null when slack is off).
   [[nodiscard]] obs::SlackTelemetry* slack_for(unsigned tile) const {
-    return n_parts_ == 1 ? slack_ : parts_[part_of_[tile]]->slack.get();
+    return parts_[part_of_[tile]]->slack;
   }
   [[nodiscard]] std::vector<std::string> wire_class_names() const;
-  /// step() body, compiled with or without self-profiler laps.
-  template <bool kProfiled>
-  void step_impl();
-  /// run() body, compiled with or without self-profiler instrumentation
-  /// (the unprofiled variant is instruction-identical to the pre-profiler
-  /// loop; results are bit-identical in both).
+  // --- The cycle driver (docs/partitioning.md) ----------------------------
+  /// run() body, compiled with or without self-profiler laps (the
+  /// unprofiled variant carries no instrumentation; results are
+  /// bit-identical in both). K - 1 worker threads plus this thread as the
+  /// partition-0 worker and coordinator, two spin-barrier waits per live
+  /// cycle; at K = 1 no worker and no barrier.
   template <bool kProfiled>
   bool run_loop(Cycle max_cycles);
-  // --- Partitioned driver (K > 1; see docs/partitioning.md) ---------------
-  /// Cycle-lockstep loop: K - 1 worker threads plus this thread as the
-  /// partition-0 worker and coordinator, two spin-barrier waits per live
-  /// cycle, serial epilogue in between iterations.
-  bool run_partitioned(Cycle max_cycles);
-  /// step() at K > 1: the same cycle, with the partition phases executed
-  /// sequentially on the calling thread (boundary double-buffering makes
-  /// sequential and parallel execution identical).
-  void step_partitioned();
+  /// Serial prologue of a live cycle: advance the clock, take a due
+  /// time-series sample, publish the clock to the network.
+  template <bool kProfiled>
+  void prologue();
   /// Partition p's share of one live cycle: drain boundary events, tick the
   /// partition's routers/lanes, pop loopbacks, tick directories and cores
-  /// (recording barrier events), publish the stall snapshot, compute the
-  /// partition's finished flag and next wake.
-  void parallel_phase(unsigned p);
-  /// Between the cycle's barriers: barrier-event replay, periodic check,
-  /// boundary exchange. Returns the earliest next live cycle (kNeverCycle
-  /// when nothing is pending) and sets epilogue_finished_.
+  /// (recording barrier events), publish the stall snapshot. With
+  /// `lookahead` (the run loop) it also computes the partition's finished
+  /// flag and, when dead-cycle skipping is on, its next wake.
+  template <bool kProfiled>
+  void parallel_phase(unsigned p, bool lookahead);
+  /// Between the cycle's barriers: barrier-event replay, stall-snapshot
+  /// publish, periodic check, boundary exchange. Returns the earliest next
+  /// live cycle (kNeverCycle when nothing is pending) and sets
+  /// epilogue_finished_; both read the parallel phases' lookahead.
+  template <bool kProfiled>
   Cycle serial_epilogue();
-  /// Replay the parallel phase's barrier arrivals / done transitions in tile
-  /// order, reproducing the serial driver's mid-cycle releases (undo the
-  /// provisionally blocked ticks, release, re-tick). Returns true when any
-  /// release happened.
+  /// Replay the parallel phase's barrier arrivals / done transitions (at
+  /// least one was recorded) in tile order, reproducing a serial tile-order
+  /// tick's mid-cycle releases (undo the provisionally blocked ticks,
+  /// release, re-tick). Returns true when any release happened.
   bool replay_barrier_events();
-  /// Serial-order handling of one barrier arrival during replay.
+  /// Tile-order handling of one barrier arrival during replay.
   void replay_arrival(unsigned core, std::uint32_t id);
+  /// Partition p's memory system and network quiescent (cores not checked).
+  [[nodiscard]] bool partition_drained(unsigned p) const;
   [[nodiscard]] bool partition_finished(unsigned p) const;
+  /// Every partition drained and no boundary event in flight.
+  [[nodiscard]] bool drained() const;
+  /// Barrier controller, serial side. The one arrival routine (replay and
+  /// the sampling fast-forward): record `core` at barrier `id`; returns true
+  /// when, with `done` cores finished, the barrier is complete — the caller
+  /// releases it.
+  bool barrier_arrive(unsigned core, std::uint32_t id, unsigned done);
+  /// A pending barrier that every core not among the `done` has reached.
+  [[nodiscard]] bool barrier_complete(unsigned done) const {
+    return waiting_ > 0 && waiting_ + done == cfg_.n_tiles;
+  }
+  [[nodiscard]] unsigned done_cores() const;
+  /// Core barrier handler: queues the arrival for the serial replay, or
+  /// handles it in place for a core re-ticked inside the replay.
   void on_barrier(unsigned core, std::uint32_t id);
   void release_barrier();
   void end_warmup();
@@ -367,9 +389,6 @@ class CmpSystem {
   // tcmplint: snapshot-exempt (runtime attachment, re-installed after restore)
   MsgHook remote_hook_;
   obs::Observer* obs_ = nullptr;
-  /// Non-null iff the attached observer's slack telemetry is enabled; the
-  /// injection/delivery/unstall hot paths test this single pointer.
-  obs::SlackTelemetry* slack_ = nullptr;
   /// Always-on bounded message-lifecycle history (crash post-mortems).
   // tcmplint: snapshot-exempt (host-side debugging ring, never sim input)
   obs::FlightRecorder flight_;
@@ -387,13 +406,15 @@ class CmpSystem {
   std::vector<std::unique_ptr<Tile>> tiles_;
   Cycle now_{0};
 
-  // Barrier controller. At K > 1 this state is touched only serially (the
-  // parallel phase records events; replay_barrier_events applies them).
+  // Barrier controller. This state is touched only serially (the parallel
+  // phase records events; replay_barrier_events applies them).
   std::vector<bool> at_barrier_;
   unsigned waiting_ = 0;
   std::uint32_t pending_barrier_id_ = 0;
-  // tcmplint: snapshot-exempt (derived from cfg_.threads by the constructor)
-  BarrierMode barrier_mode_ = BarrierMode::kSerial;
+  /// True inside replay_barrier_events: on_barrier handles arrivals of
+  /// re-ticked cores in place instead of queueing them.
+  // tcmplint: snapshot-exempt (epilogue scratch, false between cycles)
+  bool replaying_ = false;
   // replay_barrier_events working state (serial epilogue only): scratch that
   // is always consumed before the between-cycles checkpoint boundary.
   // tcmplint: snapshot-exempt (epilogue scratch, idle between cycles)
@@ -404,10 +425,9 @@ class CmpSystem {
   bool replay_any_action_ = false;
   // tcmplint: snapshot-exempt (epilogue scratch, recomputed every cycle)
   bool epilogue_finished_ = false;
-  /// Double-buffered per-tile stall snapshots for the K > 1 slack probe:
-  /// the parallel phase writes next (own tiles only), the serial epilogue
-  /// swaps, beneficiary_stalled reads published. Sized only when slack
-  /// telemetry is enabled at K > 1.
+  /// Double-buffered per-tile stall snapshots for the slack probe: the
+  /// parallel phase writes next (own tiles only, while slack telemetry is
+  /// on), the serial epilogue swaps, beneficiary_stalled reads published.
   std::vector<core::StallSnapshot> stall_published_;
   std::vector<core::StallSnapshot> stall_next_;
 

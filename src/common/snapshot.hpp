@@ -49,10 +49,11 @@
 
 namespace tcmp {
 
-/// Bumped when the stream layout changes incompatibly. Readers reject any
-/// version above their own; older-version migration is added only when an
-/// actual layout change lands (none yet — see docs/checkpointing.md).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// Bumped when the stream layout changes incompatibly. Readers refuse every
+/// version but their own: no older-version migration has been written
+/// (docs/checkpointing.md). Version 2 serializes the slack probe's stall
+/// snapshots at every K; version 1 sized them only with slack telemetry on.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 namespace snapshot_detail {
 
@@ -350,7 +351,7 @@ inline void read_snapshot_header(SnapshotReader& r,
                             std::begin(snapshot_detail::kMagic)),
                  "not a tcmp snapshot (bad magic)");
   const std::uint64_t version = r.raw_u64();
-  TCMP_CHECK_MSG(version >= 1 && version <= kSnapshotFormatVersion,
+  TCMP_CHECK_MSG(version == kSnapshotFormatVersion,
                  "snapshot format version not supported by this build");
   std::string fingerprint;
   r.field(fingerprint);

@@ -86,13 +86,13 @@ void Core::barrier_release() {
   wait_barrier_ = false;
 }
 
-void Core::tick(Cycle now) {
+bool Core::tick(Cycle now) {
   (void)now;
-  if (done_) return;
+  if (done_) return false;
   if (wait_fill_ || wait_barrier_ || wait_ifetch_) {
     ++blocked_cycles_;
     ++blocked_counter_;
-    return;
+    return false;
   }
   // Front-end: fetch the next instruction line when the previous one is
   // consumed. A miss stalls the whole in-order pipeline; after the fill the
@@ -105,7 +105,7 @@ void Core::tick(Cycle now) {
     if (!icache_->fetch(pending_code_line_)) {
       wait_ifetch_ = true;
       ++ifetch_stalls_;
-      return;
+      return false;
     }
     have_pending_line_ = false;
     ifetch_budget_ = cfg_.ifetch_interval;
@@ -119,7 +119,7 @@ void Core::tick(Cycle now) {
       continue;
     }
     if (!has_op_) {
-      if (fenced_) return;  // park at the op boundary (sampling fence)
+      if (fenced_) return false;  // park at the op boundary (sampling fence)
       op_ = workload_->next(id_);
       has_op_ = true;
     }
@@ -147,21 +147,22 @@ void Core::tick(Cycle now) {
           fill_retires_instr_ = false;
         }
         ++miss_stalls_;
-        return;
+        return false;
       }
       case OpKind::kBarrier: {
         wait_barrier_ = true;
         has_op_ = false;
         TCMP_CHECK(on_barrier_ != nullptr);
         on_barrier_(id_, op_.count);
-        return;
+        return false;
       }
       case OpKind::kDone:
         done_ = true;
         ++finished_;
-        return;
+        return true;
     }
   }
+  return false;
 }
 
 }  // namespace tcmp::core

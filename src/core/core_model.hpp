@@ -23,9 +23,8 @@
 namespace tcmp::core {
 
 /// One core's stall state at the end of a simulated cycle, published into
-/// the partitioned driver's double-buffered snapshot (docs/partitioning.md):
-/// the cross-partition slack beneficiary probe reads this instead of the
-/// live core.
+/// the cycle driver's double-buffered snapshot (docs/partitioning.md): the
+/// slack beneficiary probe reads this instead of the live core, at every K.
 struct StallSnapshot {
   LineAddr line{};      ///< meaningful only while `mem` is set
   bool mem = false;     ///< blocked on a data fill of `line`
@@ -66,7 +65,9 @@ class Core final : public sim::Scheduled {
   /// Called by the barrier controller when every core arrived.
   void barrier_release();
 
-  void tick(Cycle now);
+  /// Advance one cycle. Returns true when this tick finished the core (it
+  /// executed the stream's kDone); ticking a done core is a no-op.
+  bool tick(Cycle now);
 
   [[nodiscard]] bool done() const { return done_; }
   [[nodiscard]] bool blocked() const {

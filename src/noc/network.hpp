@@ -3,22 +3,24 @@
 // reassembly). The caller's mapping policy decides which channel and how many
 // wire bytes each message uses; the network handles everything below that.
 //
-// Thread compatibility: single-owner at K = 1 (the whole network ticks as
-// one Scheduled component, exactly the seed behavior). Under a partition
-// plan (docs/partitioning.md) every router, injection lane and stat handle
-// belongs to the partition of its node; the partition phases (drain_boundary
-// / tick_partition / next_event_partition / quiescent_partition) touch only
-// that partition's state, and the two direct writes a cross-partition link
-// would make are rerouted onto BoundaryChannels, swapped by the serial
-// epilogue (exchange_boundaries). The cut happens at link boundaries inside
-// this layer, below the NIC seam the tile-escape lint polices
-// (docs/static-analysis.md).
+// Thread compatibility: the network is driven by partition phases under a
+// partition plan (docs/partitioning.md). Every router, injection lane and
+// stat handle belongs to the partition of its node; the partition phases
+// (drain_boundary / tick_partition / next_event_partition /
+// quiescent_partition) touch only that partition's state, and the two direct
+// writes a cross-partition link would make are rerouted onto
+// BoundaryChannels, swapped by the serial epilogue (exchange_boundaries). A
+// single-partition network (the standalone constructor, or K = 1) has no
+// boundary channels; its partition-0 phases cover every router and lane.
+// The cut happens at link boundaries inside this layer, below the NIC seam
+// the tile-escape lint polices (docs/static-analysis.md).
 #pragma once
 
 #include <array>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -29,7 +31,6 @@
 #include "noc/channel.hpp"
 #include "noc/router.hpp"
 #include "sim/partition.hpp"
-#include "sim/scheduled.hpp"
 
 namespace tcmp::obs {
 class Observer;
@@ -59,12 +60,12 @@ struct NocConfig {
   [[nodiscard]] unsigned nodes() const { return width * height; }
 };
 
-class Network final : public sim::Scheduled {
+class Network final {
  public:
   using DeliverFn = std::function<void(NodeId, const protocol::CoherenceMsg&)>;
 
-  /// Single-partition network (the seed's shape): one registry, no boundary
-  /// channels, tick() drives everything.
+  /// Single-partition network: one registry, no boundary channels; drive it
+  /// with begin_cycle(now) + tick_partition(0, now).
   Network(const NocConfig& cfg, StatRegistry* stats);
 
   /// Partitioned network: routers, lanes and stat handles of node n live on
@@ -86,9 +87,7 @@ class Network final : public sim::Scheduled {
   void inject(const protocol::CoherenceMsg& msg, unsigned channel,
               Bytes wire_bytes, Cycle now);
 
-  void tick(Cycle now);
-
-  // --- Partition phases (K > 1; see docs/partitioning.md) -----------------
+  // --- Partition phases (see docs/partitioning.md) ------------------------
   /// Serial prologue: publish the cycle clock (the eject callbacks read it).
   void begin_cycle(Cycle now) { now_ = now; }
   /// Parallel, start of partition p's phase: apply the boundary events the
@@ -97,7 +96,7 @@ class Network final : public sim::Scheduled {
     for (BoundaryChannel* ch : inbound_[p]) ch->drain();
   }
   /// Parallel: the three router phases plus lane pumping, restricted to
-  /// partition p's routers and nodes.
+  /// partition p's routers and nodes (at K = 1: the whole network).
   void tick_partition(unsigned p, Cycle now);
   /// Serial epilogue (between the cycle's barriers): publish every pending
   /// boundary event; returns the earliest published deadline (kNeverCycle
@@ -112,15 +111,15 @@ class Network final : public sim::Scheduled {
       if (!ch->empty()) return false;
     return true;
   }
+  /// Partition p's Scheduled contract (registered through an adapter):
+  /// next cycle while any of its routers buffers flits or any of its
+  /// injection lanes has a packet (both may act every cycle), otherwise the
+  /// earliest in-flight link arrival into its routers.
   [[nodiscard]] Cycle next_event_partition(unsigned p) const;
+  /// No flit buffered in partition p's routers or queued in its lanes
+  /// (boundary channels are checked separately: boundaries_empty()).
   [[nodiscard]] bool quiescent_partition(unsigned p) const;
   [[nodiscard]] unsigned num_partitions() const { return plan_.num_partitions(); }
-
-  [[nodiscard]] bool quiescent() const override;
-  /// Scheduled contract: next cycle while any router buffers flits or any
-  /// injection lane has a packet (both may act every cycle), otherwise the
-  /// earliest in-flight link arrival across every plane.
-  [[nodiscard]] Cycle next_event() const override;
   [[nodiscard]] unsigned num_channels() const {
     return static_cast<unsigned>(cfg_.channels.size());
   }
@@ -218,6 +217,8 @@ class Network final : public sim::Scheduled {
     std::vector<std::vector<Lane>> lanes;  ///< [node][vnet]
     double total_link_mm = 0.0;  // tcmplint: allow-raw-unit (energy accounting, mm)
     std::vector<PlaneStats> pstats;        ///< [partition]
+    /// [partition] the partition's routers (see the constructor).
+    std::vector<std::span<const std::unique_ptr<Router>>> part_routers;
   };
 
   void build_mesh(unsigned ch);

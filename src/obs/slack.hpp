@@ -52,8 +52,9 @@ inline constexpr unsigned kNumCritClasses = 3;
 [[nodiscard]] const char* to_string(CritClass c);
 
 /// Classify a message given its type and whether the beneficiary core is
-/// stalled right now. Pure function of the Fig. 4 criticality table plus the
-/// core state; the caller (CmpSystem) knows the beneficiary.
+/// stalled. Pure function of the Fig. 4 criticality table plus the core
+/// state; the caller (CmpSystem) knows the beneficiary and probes its
+/// previous-cycle stall snapshot.
 [[nodiscard]] inline CritClass classify(protocol::MsgType t,
                                         bool beneficiary_stalled) {
   if (!protocol::is_critical(t)) return CritClass::kAckWriteback;

@@ -152,8 +152,12 @@ struct NicHarness {
     });
   }
 
+  void tick() {
+    net->begin_cycle(++now);
+    net->tick_partition(0, now);
+  }
   void run_until_quiescent() {
-    while (!net->quiescent()) net->tick(++now);
+    while (!net->quiescent_partition(0)) tick();
   }
 
   noc::NocConfig cfg;
@@ -214,7 +218,7 @@ TEST(TileNic, RandomizedStreamsDecodeExactly) {
     if (dst == src) dst = static_cast<NodeId>((dst + 1) % 16);
     h.nics[src]->send(request(src, dst, 0x2000 + rng.next_below(4096)), h.now);
     ++sent;
-    h.net->tick(++h.now);
+    h.tick();
   }
   h.run_until_quiescent();
   EXPECT_EQ(h.delivered.size(), sent);

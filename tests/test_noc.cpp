@@ -43,14 +43,20 @@ struct Harness {
     });
   }
 
+  /// One cycle of the standalone (single-partition) network.
+  void tick() {
+    net->begin_cycle(++now);
+    net->tick_partition(0, now);
+  }
+
   void run(Cycle cycles) {
-    for (Cycle i{0}; i < cycles; ++i) net->tick(++now);
+    for (Cycle i{0}; i < cycles; ++i) tick();
   }
 
   Cycle run_until_quiescent(Cycle limit = Cycle{100000}) {
     const Cycle start = now;
-    while (!net->quiescent()) {
-      net->tick(++now);
+    while (!net->quiescent_partition(0)) {
+      tick();
       TCMP_CHECK(now - start < limit);
     }
     return now - start;
@@ -258,7 +264,7 @@ TEST(Network, DeterministicAcrossRuns) {
       auto d = static_cast<NodeId>(rng.next_below(16));
       if (d == s) d = static_cast<NodeId>((d + 1) % 16);
       h.net->inject(make_msg(s, d, MsgType::kGetS, i), kBChannel, Bytes{11}, h.now);
-      h.net->tick(++h.now);
+      h.tick();
     }
     h.run_until_quiescent();
     std::vector<std::pair<NodeId, LineAddr>> order;
@@ -291,7 +297,7 @@ TEST_P(NetworkLoad, UniformRandomTrafficAllDelivered) {
         ++sent;
       }
     }
-    h.net->tick(++h.now);
+    h.tick();
   }
   h.run_until_quiescent(Cycle{2000000});
   EXPECT_EQ(h.delivered.size(), sent);
@@ -315,10 +321,14 @@ struct TreeHarness {
       delivered.push_back({node, msg});
     });
   }
+  void tick() {
+    net->begin_cycle(++now);
+    net->tick_partition(0, now);
+  }
   Cycle run_until_quiescent(Cycle limit = Cycle{200000}) {
     const Cycle start = now;
-    while (!net->quiescent()) {
-      net->tick(++now);
+    while (!net->quiescent_partition(0)) {
+      tick();
       TCMP_CHECK(now - start < limit);
     }
     return now - start;
@@ -396,7 +406,7 @@ TEST(Network, LatencyGrowsWithLoad) {
           h.net->inject(make_msg(static_cast<NodeId>(n), d), kBChannel, Bytes{11}, h.now);
         }
       }
-      h.net->tick(++h.now);
+      h.tick();
     }
     h.run_until_quiescent(Cycle{2000000});
     return h.stats.histogram("noc.B.latency").scalar().mean();

@@ -1,13 +1,14 @@
 // Partitioned simulation core (docs/partitioning.md): the row-block plan,
 // the 1-cycle synchronization-horizon floor on boundary channels, and the
-// end-to-end determinism contract — equal counter maps whatever the thread
-// count. Golden byte-identity at --threads 1 is covered by the
-// tcmpsim_golden_identity ctest (tools/golden_test.sh passes --threads 1
-// explicitly); these tests pin the K > 1 side.
+// end-to-end determinism contract — equal counter maps and slack telemetry
+// whatever the thread count. Golden byte-identity at --threads 1 is covered
+// by the tcmpsim_golden_identity ctest (tools/golden_test.sh passes
+// --threads 1 explicitly); these tests pin the K > 1 side.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "common/stats.hpp"
 #include "noc/channel.hpp"
 #include "noc/network.hpp"
+#include "obs/observer.hpp"
 #include "sim/partition.hpp"
 #include "wire/link_design.hpp"
 #include "workloads/synthetic_app.hpp"
@@ -114,7 +116,8 @@ TEST(PartitionHorizon, OneCycleLinkCrossesExactlyAtHorizon) {
 
   for (unsigned c = 0; c < 64 && parted_deliveries.empty(); ++c) {
     ++serial_now;
-    serial.tick(serial_now);
+    serial.begin_cycle(serial_now);
+    serial.tick_partition(0, serial_now);
 
     ++parted_now;
     parted.begin_cycle(parted_now);
@@ -141,7 +144,7 @@ TEST(PartitionHorizon, OneCycleLinkCrossesExactlyAtHorizon) {
   EXPECT_TRUE(parted.boundaries_empty());
   EXPECT_TRUE(parted.quiescent_partition(0));
   EXPECT_TRUE(parted.quiescent_partition(1));
-  EXPECT_TRUE(serial.quiescent());
+  EXPECT_TRUE(serial.quiescent_partition(0));
 }
 
 // ---- Counter-map identity across thread counts ---------------------------
@@ -186,6 +189,60 @@ TEST(PartitionIdentity, CounterMapsEqualAcrossThreadCounts) {
     EXPECT_EQ(it->second, value) << "counter diverges at K=4: " << name;
   }
   EXPECT_EQ(one.counters.size(), four.counters.size());
+}
+
+// ---- Slack telemetry identity across thread counts -----------------------
+
+struct SlackRun {
+  std::string table;
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::vector<std::uint64_t>> histogram_bins;
+};
+
+SlackRun run_slack(unsigned threads) {
+  auto cfg =
+      cmp::CmpConfig::heterogeneous(compression::SchemeConfig::dbrc(4, 2));
+  cfg.threads = threads;
+  cmp::CmpSystem system(
+      cfg, std::make_shared<workloads::SyntheticApp>(
+               workloads::app("MP3D").scaled(0.02), cfg.n_tiles));
+  // K = 1 carries slack telemetry on the attached observer; K > 1 on one
+  // SlackTelemetry shard per partition.
+  std::unique_ptr<obs::Observer> observer;
+  if (threads == 1) {
+    observer =
+        std::make_unique<obs::Observer>(obs::ObsConfig{}, &system.stats());
+    system.attach_observer(observer.get());
+  } else {
+    system.enable_slack_telemetry();
+  }
+  EXPECT_TRUE(system.run(Cycle{50'000'000}));
+  SlackRun r;
+  std::ostringstream table;
+  system.write_slack_table(table);
+  r.table = table.str();
+  const StatRegistry& stats = system.merged_stats();
+  for (const auto& [name, value] : stats.counters()) {
+    if (name.rfind("slack.", 0) == 0) r.counters[name] = value;
+  }
+  for (const auto& [name, h] : stats.histograms()) {
+    if (name.rfind("slack.", 0) == 0) r.histogram_bins[name] = h.bins();
+  }
+  system.attach_observer(nullptr);
+  return r;
+}
+
+TEST(PartitionIdentity, SlackTelemetryEqualAcrossThreadCounts) {
+  // One beneficiary probe (the previous cycle's stall snapshot) at every K:
+  // the slack classification, and with it every slack.* stat and the
+  // --slack-report table, must not depend on the partition count.
+  const SlackRun one = run_slack(1);
+  const SlackRun four = run_slack(4);
+  ASSERT_FALSE(one.histogram_bins.empty());
+  EXPECT_NE(one.table.find("blocking"), std::string::npos);
+  EXPECT_EQ(one.table, four.table);
+  EXPECT_EQ(one.counters, four.counters);
+  EXPECT_EQ(one.histogram_bins, four.histogram_bins);
 }
 
 }  // namespace

@@ -5,7 +5,12 @@
 // to the per-cycle loop.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "cmp/system.hpp"
 #include "sim/kernel.hpp"
@@ -194,24 +199,56 @@ TEST(EventKernelSystem, SleepyCoreWakesExactlyAtFillDeadline) {
   EXPECT_EQ(system.total_instructions(), percycle.total_instructions());
 }
 
-TEST(EventKernelSystem, DeadCycleSkippingIsBitIdentical) {
+/// Everything merged_stats() reports, in comparable form.
+struct StatsView {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::vector<std::uint64_t>> histogram_bins;
+  std::map<std::string, std::pair<std::uint64_t, double>> histogram_scalars;
+};
+
+StatsView view_of(const StatRegistry& stats) {
+  StatsView v;
+  for (const auto& [name, value] : stats.counters()) v.counters[name] = value;
+  for (const auto& [name, h] : stats.histograms()) {
+    v.histogram_bins[name] = h.bins();
+    v.histogram_scalars[name] = {h.scalar().count(), h.scalar().sum()};
+  }
+  return v;
+}
+
+/// Dead-cycle skipping against the dense per-cycle loop, through the one
+/// cycle driver at `threads` partitions.
+void expect_dead_cycle_skipping_identical(unsigned threads) {
+  SCOPED_TRACE("threads=" + std::to_string(threads));
   const auto params = workloads::app("MP3D").scaled(0.05);
   auto run_mode = [&](bool skipping) {
+    auto cfg = cmp::CmpConfig::baseline();
+    cfg.threads = threads;
     cmp::CmpSystem system(
-        cmp::CmpConfig::baseline(),
-        std::make_shared<workloads::SyntheticApp>(params, 16));
+        cfg, std::make_shared<workloads::SyntheticApp>(params, 16));
+    EXPECT_EQ(system.num_partitions(), threads);
     system.set_dead_cycle_skipping(skipping);
     EXPECT_TRUE(system.run(Cycle{200'000'000}));
     return std::make_tuple(system.total_cycles(), system.total_instructions(),
-                           system.stats().counters());
+                           view_of(system.merged_stats()));
   };
   const auto event = run_mode(true);
   const auto loop = run_mode(false);
   EXPECT_EQ(std::get<0>(event), std::get<0>(loop));
   EXPECT_EQ(std::get<1>(event), std::get<1>(loop));
-  // Every counter in the registry matches exactly — including the blocked-
-  // cycle accounting that advance_idle bulk-replicates.
-  EXPECT_EQ(std::get<2>(event), std::get<2>(loop));
+  // Every merged counter and histogram matches exactly — including the
+  // blocked-cycle accounting that advance_idle bulk-replicates.
+  EXPECT_EQ(std::get<2>(event).counters, std::get<2>(loop).counters);
+  EXPECT_EQ(std::get<2>(event).histogram_bins,
+            std::get<2>(loop).histogram_bins);
+  EXPECT_EQ(std::get<2>(event).histogram_scalars,
+            std::get<2>(loop).histogram_scalars);
+}
+
+TEST(EventKernelSystem, DeadCycleSkippingIsBitIdentical) {
+  for (const unsigned threads : {1u, 4u}) {
+    expect_dead_cycle_skipping_identical(threads);
+  }
 }
 
 }  // namespace

@@ -127,6 +127,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "tcmplint_model.hpp"
 
 namespace fs = std::filesystem;
@@ -1069,7 +1071,19 @@ void check_ambient_nondet(const fs::path& root) {
 // ---- self-contained ------------------------------------------------------
 
 void check_self_contained(const fs::path& root, const std::string& cxx) {
-  const fs::path tmp = fs::temp_directory_path() / "tcmplint_sc.cpp";
+  // One probe file per process: concurrent linter runs (ctest -j runs the
+  // clean and seeded harnesses at once) must not overwrite each other's.
+  std::string name =
+      (fs::temp_directory_path() / "tcmplint_sc_XXXXXX.cpp").string();
+  const int fd = mkstemps(name.data(), 4);
+  if (fd < 0) {
+    report(root / "src", 0, "self-contained",
+           "cannot create a probe file in " +
+               fs::temp_directory_path().string());
+    return;
+  }
+  close(fd);
+  const fs::path tmp = name;
   for (const auto& h : collect(root / "src", ".hpp")) {
     const std::string rel =
         fs::relative(h, root / "src").generic_string();

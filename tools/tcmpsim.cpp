@@ -35,8 +35,9 @@
 //                         and continue to completion
 //   --sample SPEC         SMARTS interval sampling (requires --threads 1, no
 //                         observer): SPEC = mode=interval,warmup=W,detail=D,
-//                         period=P — detailed windows of D cycles after W
-//                         warm cycles, separated by P functionally
+//                         period=P — measured detailed windows of D
+//                         instructions per core, each after W detailed
+//                         warmup cycles, separated by P functionally
 //                         fast-forwarded instructions per core; metrics are
 //                         extrapolated with a confidence bound
 //
