@@ -3,6 +3,8 @@
 // headline directional properties the paper's evaluation rests on.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cmp/report.hpp"
 #include "cmp/system.hpp"
 #include "workloads/synthetic_app.hpp"
@@ -102,6 +104,10 @@ struct HetCase {
   const char* app;
   compression::SchemeConfig scheme;
 };
+
+// Names the case by value; the default byte dump would print the app
+// pointer, so the discovered ctest name would change from build to build.
+void PrintTo(const HetCase& c, std::ostream* os) { *os << c.app << ", " << c.scheme.name(); }
 
 class HetEndToEnd : public ::testing::TestWithParam<HetCase> {};
 
