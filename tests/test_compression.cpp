@@ -12,6 +12,7 @@
 #include "compression/scheme.hpp"
 #include "compression/stride.hpp"
 #include "compression/trivial.hpp"
+#include "param_bytes.hpp"
 
 namespace tcmp::compression {
 namespace {
@@ -180,6 +181,11 @@ struct RoundTripCase {
   SchemeConfig cfg;
   std::uint64_t seed;
 };
+
+void PrintTo(const RoundTripCase& c, std::ostream* os) {
+  test::print_field_bytes(c, os, c.cfg.kind, c.cfg.entries, c.cfg.low_bytes,
+                          c.cfg.idealized_mirrors, c.seed);
+}
 
 class RoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 

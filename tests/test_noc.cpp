@@ -12,6 +12,7 @@
 #include "common/stats.hpp"
 #include "noc/channel.hpp"
 #include "noc/network.hpp"
+#include "param_bytes.hpp"
 #include "wire/link_design.hpp"
 
 namespace tcmp::noc {
@@ -279,6 +280,10 @@ struct LoadPoint {
   double injection_rate;  ///< packets per node per cycle
   unsigned cycles;
 };
+
+void PrintTo(const LoadPoint& p, std::ostream* os) {
+  test::print_field_bytes(p, os, p.injection_rate, p.cycles);
+}
 
 class NetworkLoad : public ::testing::TestWithParam<LoadPoint> {};
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "param_bytes.hpp"
 #include "protocol_test_fabric.hpp"
 
 namespace tcmp::protocol {
@@ -193,6 +194,11 @@ struct StressCase {
   Cycle min_delay, max_delay;
   std::uint64_t seed;
 };
+
+void PrintTo(const StressCase& c, std::ostream* os) {
+  test::print_field_bytes(c, os, c.nodes, c.lines, c.ops, c.min_delay,
+                          c.max_delay, c.seed);
+}
 
 class ProtocolStress : public ::testing::TestWithParam<StressCase> {};
 

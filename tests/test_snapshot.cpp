@@ -126,7 +126,7 @@ TEST(SnapshotArchiveDeathTest, GuardsCatchDriftAndMismatch) {
   {
     std::stringstream truncated("short");
     SnapshotReader r(truncated);
-    EXPECT_DEATH(r.raw_u64(), "truncated");
+    EXPECT_DEATH(static_cast<void>(r.raw_u64()), "truncated");
   }
   {
     std::stringstream bogus("XXXXXXXXXXXXXXXXXXXXXXXX");

@@ -103,8 +103,6 @@
 //                     flows through the seeded Rng, all environment reads
 //                     through env.hpp. Escape hatch:
 //                     `tcmplint: allow-ambient`.
-//   self-contained    every header under src/ must compile standalone
-//                     ($CXX -std=c++20 -fsyntax-only -I src).
 //   pragma-once       every header under src/ must contain #pragma once.
 //
 // The four determinism/state-integrity rules share a cross-TU class/field
@@ -113,7 +111,11 @@
 // lists and method bodies — including definitions that live in a different
 // translation unit than the declaration.
 //
-// Usage: tcmplint --root <repo-root> [--rule <name>] [--cxx <compiler>]
+// Header self-containment is not a rule here: the build checks it, with the
+// project's real flags, through the tcmp_header_check target
+// (src/CMakeLists.txt) and the header_check_seeded ctest.
+//
+// Usage: tcmplint --root <repo-root> [--rule <name>]
 //        tcmplint --list-rules | tcmplint --dump-model --root <repo-root>
 #include <algorithm>
 #include <cstdio>
@@ -126,8 +128,6 @@
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "tcmplint_model.hpp"
 
@@ -1068,42 +1068,6 @@ void check_ambient_nondet(const fs::path& root) {
   }
 }
 
-// ---- self-contained ------------------------------------------------------
-
-void check_self_contained(const fs::path& root, const std::string& cxx) {
-  // One probe file per process: concurrent linter runs (ctest -j runs the
-  // clean and seeded harnesses at once) must not overwrite each other's.
-  std::string name =
-      (fs::temp_directory_path() / "tcmplint_sc_XXXXXX.cpp").string();
-  const int fd = mkstemps(name.data(), 4);
-  if (fd < 0) {
-    report(root / "src", 0, "self-contained",
-           "cannot create a probe file in " +
-               fs::temp_directory_path().string());
-    return;
-  }
-  close(fd);
-  const fs::path tmp = name;
-  for (const auto& h : collect(root / "src", ".hpp")) {
-    const std::string rel =
-        fs::relative(h, root / "src").generic_string();
-    {
-      std::ofstream out(tmp);
-      out << "#include \"" << rel << "\"\n";
-    }
-    const std::string cmd = cxx + " -std=c++20 -fsyntax-only -I \"" +
-                            (root / "src").string() + "\" \"" + tmp.string() +
-                            "\" 2>/dev/null";
-    if (std::system(cmd.c_str()) != 0) {
-      report(h, 0, "self-contained",
-             "header does not compile standalone (missing includes?); run: " +
-                 cxx + " -std=c++20 -fsyntax-only -I src /tmp/probe.cpp");
-    }
-  }
-  std::error_code ec;
-  fs::remove(tmp, ec);
-}
-
 // ---- pragma-once ---------------------------------------------------------
 
 void check_pragma_once(const fs::path& root) {
@@ -1119,41 +1083,25 @@ void check_pragma_once(const fs::path& root) {
 // (which cross-checks its coverage against this list).
 struct RuleEntry {
   const char* name;
-  void (*run)(const fs::path& root, const std::string& cxx);
+  void (*run)(const fs::path& root);
 };
 
 const RuleEntry kRules[] = {
-    {"raw-unit", [](const fs::path& r, const std::string&) { check_raw_unit(r); }},
-    {"msgtype-tables",
-     [](const fs::path& r, const std::string&) { check_msgtype_tables(r); }},
-    {"stat-registration",
-     [](const fs::path& r, const std::string&) { check_stat_registration(r); }},
-    {"stat-string-hot-path",
-     [](const fs::path& r, const std::string&) { check_stat_string_hot_path(r); }},
-    {"obs-emit-interned",
-     [](const fs::path& r, const std::string&) { check_obs_emit_interned(r); }},
-    {"scheduled-contract",
-     [](const fs::path& r, const std::string&) { check_scheduled_contract(r); }},
-    {"mutable-static",
-     [](const fs::path& r, const std::string&) { check_mutable_static(r); }},
-    {"guarded-field",
-     [](const fs::path& r, const std::string&) { check_guarded_field(r); }},
-    {"tile-escape",
-     [](const fs::path& r, const std::string&) { check_tile_escape(r); }},
-    {"nondet-iteration",
-     [](const fs::path& r, const std::string&) { check_nondet_iteration(r); }},
-    {"uninit-member",
-     [](const fs::path& r, const std::string&) { check_uninit_member(r); }},
-    {"reset-coverage",
-     [](const fs::path& r, const std::string&) { check_reset_coverage(r); }},
-    {"snapshot-coverage",
-     [](const fs::path& r, const std::string&) { check_snapshot_coverage(r); }},
-    {"ambient-nondeterminism",
-     [](const fs::path& r, const std::string&) { check_ambient_nondet(r); }},
-    {"pragma-once",
-     [](const fs::path& r, const std::string&) { check_pragma_once(r); }},
-    {"self-contained",
-     [](const fs::path& r, const std::string& cxx) { check_self_contained(r, cxx); }},
+    {"raw-unit", check_raw_unit},
+    {"msgtype-tables", check_msgtype_tables},
+    {"stat-registration", check_stat_registration},
+    {"stat-string-hot-path", check_stat_string_hot_path},
+    {"obs-emit-interned", check_obs_emit_interned},
+    {"scheduled-contract", check_scheduled_contract},
+    {"mutable-static", check_mutable_static},
+    {"guarded-field", check_guarded_field},
+    {"tile-escape", check_tile_escape},
+    {"nondet-iteration", check_nondet_iteration},
+    {"uninit-member", check_uninit_member},
+    {"reset-coverage", check_reset_coverage},
+    {"snapshot-coverage", check_snapshot_coverage},
+    {"ambient-nondeterminism", check_ambient_nondet},
+    {"pragma-once", check_pragma_once},
 };
 
 }  // namespace
@@ -1162,7 +1110,6 @@ int main(int argc, char** argv) {
   fs::path root = ".";
   std::string rule = "all";
   bool dump_model = false;
-  std::string cxx = std::getenv("CXX") ? std::getenv("CXX") : "c++";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -1176,8 +1123,6 @@ int main(int argc, char** argv) {
       root = next();
     } else if (arg == "--rule") {
       rule = next();
-    } else if (arg == "--cxx") {
-      cxx = next();
     } else if (arg == "--list-rules") {
       for (const RuleEntry& r : kRules) std::printf("%s\n", r.name);
       return 0;
@@ -1186,8 +1131,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: tcmplint --root <dir> [--rule <name>] "
-                   "[--cxx <compiler>] [--dump-model] | "
-                   "tcmplint --list-rules\n");
+                   "[--dump-model] | tcmplint --list-rules\n");
       return 2;
     }
   }
@@ -1218,7 +1162,7 @@ int main(int argc, char** argv) {
   bool known = rule == "all";
   for (const RuleEntry& r : kRules) {
     if (rule == "all" || rule == r.name) {
-      r.run(root, cxx);
+      r.run(root);
       known = true;
     }
   }

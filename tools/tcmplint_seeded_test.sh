@@ -2,8 +2,9 @@
 # Seeded-violation harness for tcmplint (mirrors tcmpcheck --mutate): plant
 # exactly one violation of each rule in a scratch copy of src/ and assert the
 # corresponding rule exits nonzero — proving the lint actually catches what
-# it claims to. Also asserts the pristine copy is clean per rule, so a
-# failure is attributable to the seeded edit alone.
+# it claims to. src/ is copied once and must be clean under every rule; each
+# case is reverted after its catch and the copy diffed against src/ again,
+# so every failure is attributable to that case's seeded edit alone.
 #
 #   tcmplint_seeded_test.sh <tcmplint-binary> <repo-root>
 set -euo pipefail
@@ -12,20 +13,52 @@ lint="$1"
 repo="$2"
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
+tree="$scratch/tree"
+mkdir -p "$tree"
+cp -r "$repo/src" "$tree/src"
 
-fresh_tree() {
-  rm -rf "$scratch/tree"
-  mkdir -p "$scratch/tree"
-  cp -r "$repo/src" "$scratch/tree/src"
-}
+if ! "$lint" --root "$tree" >"$scratch/out" 2>&1; then
+  echo "FAIL: pristine tree not clean"
+  cat "$scratch/out"
+  exit 1
+fi
 
 exercised=()
+planted=()
+edited=()
 
-# expect_catch <rule> — the seeded tree must fail, naming the rule.
+# plant <path under src/> — create a new file from stdin.
+plant() {
+  planted+=("$1")
+  cat >"$tree/src/$1"
+}
+
+# edit <path under src/> <sed-script> — edit an existing file in place.
+edit() {
+  edited+=("$1")
+  sed -i "$2" "$tree/src/$1"
+}
+
+# revert — undo the current case and prove the copy is pristine again.
+revert() {
+  local f
+  for f in "${planted[@]}"; do rm "$tree/src/$f"; done
+  for f in "${edited[@]}"; do cp "$repo/src/$f" "$tree/src/$f"; done
+  planted=()
+  edited=()
+  if ! diff -r "$repo/src" "$tree/src" >"$scratch/out"; then
+    echo "FAIL: scratch tree differs from src/ after revert"
+    cat "$scratch/out"
+    exit 1
+  fi
+}
+
+# expect_catch <rule> — the seeded tree must fail, naming the rule; then the
+# case is reverted.
 expect_catch() {
   local rule="$1"
   exercised+=("$rule")
-  if "$lint" --root "$scratch/tree" --rule "$rule" >"$scratch/out" 2>&1; then
+  if "$lint" --root "$tree" --rule "$rule" >"$scratch/out" 2>&1; then
     echo "FAIL: seeded $rule violation was NOT caught"
     cat "$scratch/out"
     exit 1
@@ -36,22 +69,11 @@ expect_catch() {
     exit 1
   fi
   echo "ok: $rule catches its seeded violation"
-}
-
-# expect_clean <rule> — the pristine tree must pass the rule.
-expect_clean() {
-  local rule="$1"
-  if ! "$lint" --root "$scratch/tree" --rule "$rule" >"$scratch/out" 2>&1; then
-    echo "FAIL: pristine tree not clean under $rule"
-    cat "$scratch/out"
-    exit 1
-  fi
+  revert
 }
 
 # --- raw-unit: a double member with a unit suffix and no allow-comment.
-fresh_tree
-expect_clean raw-unit
-cat > "$scratch/tree/src/common/seeded_raw_unit.hpp" <<'EOF'
+plant common/seeded_raw_unit.hpp <<'EOF'
 #pragma once
 struct SeededRawUnit {
   double energy_j = 0.0;
@@ -61,16 +83,11 @@ expect_catch raw-unit
 
 # --- msgtype-tables: a new enumerator absent from both tables (and from
 # kNumMsgTypes).
-fresh_tree
-expect_clean msgtype-tables
-sed -i 's/^  kPutAck,/  kPutAck,\n  kSeededViolation,/' \
-  "$scratch/tree/src/protocol/coherence_msg.hpp"
+edit protocol/coherence_msg.hpp 's/^  kPutAck,/  kPutAck,\n  kSeededViolation,/'
 expect_catch msgtype-tables
 
 # --- stat-registration: a Histogram member outside StatRegistry.
-fresh_tree
-expect_clean stat-registration
-cat > "$scratch/tree/src/common/seeded_stat.hpp" <<'EOF'
+plant common/seeded_stat.hpp <<'EOF'
 #pragma once
 #include "common/stats.hpp"
 struct SeededStat {
@@ -82,9 +99,7 @@ expect_catch stat-registration
 # --- stat-string-hot-path: a per-event string-keyed counter lookup in a
 # hot-path directory, outside any constructor/init and without the
 # allow-comment.
-fresh_tree
-expect_clean stat-string-hot-path
-cat > "$scratch/tree/src/protocol/seeded_stat_string.cpp" <<'EOF'
+plant protocol/seeded_stat_string.cpp <<'EOF'
 #include "common/stats.hpp"
 namespace tcmp {
 void seeded_hot_bump(StatRegistry& stats) {
@@ -96,9 +111,7 @@ expect_catch stat-string-hot-path
 
 # --- obs-emit-interned: a per-event emit site resolving its handle from a
 # string literal (the interning is supposed to happen once, at init).
-fresh_tree
-expect_clean obs-emit-interned
-cat > "$scratch/tree/src/obs/seeded_emit.cpp" <<'EOF'
+plant obs/seeded_emit.cpp <<'EOF'
 #include "common/stats.hpp"
 namespace tcmp {
 void seeded_emit_site(StatRegistry& stats) {
@@ -110,9 +123,7 @@ expect_catch obs-emit-interned
 
 # --- scheduled-contract: a ticked component that hides from the event
 # kernel (no next_event/quiescent, no allow-comment).
-fresh_tree
-expect_clean scheduled-contract
-cat > "$scratch/tree/src/common/seeded_unscheduled.hpp" <<'EOF'
+plant common/seeded_unscheduled.hpp <<'EOF'
 #pragma once
 #include "common/types.hpp"
 struct SeededUnscheduled {
@@ -123,9 +134,7 @@ expect_catch scheduled-contract
 
 # --- mutable-static: a non-const function-local static (shared mutable
 # state every sweep worker thread can reach).
-fresh_tree
-expect_clean mutable-static
-cat > "$scratch/tree/src/common/seeded_mutable_static.cpp" <<'EOF'
+plant common/seeded_mutable_static.cpp <<'EOF'
 namespace tcmp {
 int seeded_count_calls() {
   static int hits = 0;
@@ -137,9 +146,7 @@ expect_catch mutable-static
 
 # --- guarded-field: a class holding a Mutex whose sibling field carries no
 # TCMP_GUARDED_BY annotation.
-fresh_tree
-expect_clean guarded-field
-cat > "$scratch/tree/src/common/seeded_guarded_field.hpp" <<'EOF'
+plant common/seeded_guarded_field.hpp <<'EOF'
 #pragma once
 #include "common/sync.hpp"
 struct SeededGuardedField {
@@ -152,9 +159,7 @@ expect_catch guarded-field
 # --- tile-escape: a protocol-side struct caching a raw pointer to another
 # tile's core (a direct cross-tile call path, exactly what Graphite-style
 # partitioning must not find).
-fresh_tree
-expect_clean tile-escape
-cat > "$scratch/tree/src/protocol/seeded_tile_escape.hpp" <<'EOF'
+plant protocol/seeded_tile_escape.hpp <<'EOF'
 #pragma once
 namespace tcmp::core {
 class Core;
@@ -169,9 +174,7 @@ expect_catch tile-escape
 # unordered_map member, the .cpp iterates it without an annotation. Exercises
 # the class model's member-to-defining-TU resolution, not just same-file
 # matching.
-fresh_tree
-expect_clean nondet-iteration
-cat > "$scratch/tree/src/protocol/seeded_nondet.hpp" <<'EOF'
+plant protocol/seeded_nondet.hpp <<'EOF'
 #pragma once
 #include <unordered_map>
 namespace tcmp::protocol {
@@ -184,7 +187,7 @@ class SeededNondet {
 };
 }  // namespace tcmp::protocol
 EOF
-cat > "$scratch/tree/src/protocol/seeded_nondet.cpp" <<'EOF'
+plant protocol/seeded_nondet.cpp <<'EOF'
 #include "protocol/seeded_nondet.hpp"
 namespace tcmp::protocol {
 int SeededNondet::sum() {
@@ -198,9 +201,7 @@ expect_catch nondet-iteration
 
 # --- uninit-member: a scalar member with no default initializer and no
 # constructor covering it.
-fresh_tree
-expect_clean uninit-member
-cat > "$scratch/tree/src/protocol/seeded_uninit.hpp" <<'EOF'
+plant protocol/seeded_uninit.hpp <<'EOF'
 #pragma once
 namespace tcmp::protocol {
 struct SeededUninit {
@@ -211,9 +212,7 @@ EOF
 expect_catch uninit-member
 
 # --- reset-coverage: a lifecycle reset() that silently skips a member.
-fresh_tree
-expect_clean reset-coverage
-cat > "$scratch/tree/src/protocol/seeded_reset.hpp" <<'EOF'
+plant protocol/seeded_reset.hpp <<'EOF'
 #pragma once
 namespace tcmp::protocol {
 struct SeededReset {
@@ -228,9 +227,7 @@ expect_catch reset-coverage
 # --- snapshot-coverage: a snapshot_io() serializer that silently skips a
 # member (it would restore to its constructed value and desynchronize the
 # restored run).
-fresh_tree
-expect_clean snapshot-coverage
-cat > "$scratch/tree/src/protocol/seeded_snapshot.hpp" <<'EOF'
+plant protocol/seeded_snapshot.hpp <<'EOF'
 #pragma once
 namespace tcmp::protocol {
 struct SeededSnapshot {
@@ -246,9 +243,7 @@ EOF
 expect_catch snapshot-coverage
 
 # --- ambient-nondeterminism: wall-clock time outside the sanctioned TUs.
-fresh_tree
-expect_clean ambient-nondeterminism
-cat > "$scratch/tree/src/common/seeded_ambient.cpp" <<'EOF'
+plant common/seeded_ambient.cpp <<'EOF'
 #include <ctime>
 namespace tcmp {
 long seeded_wall_clock() { return static_cast<long>(std::time(nullptr)); }
@@ -257,19 +252,8 @@ EOF
 expect_catch ambient-nondeterminism
 
 # --- pragma-once: a header without the guard.
-fresh_tree
-expect_clean pragma-once
-echo "struct SeededNoGuard {};" > "$scratch/tree/src/common/seeded_guard.hpp"
+plant common/seeded_guard.hpp <<<"struct SeededNoGuard {};"
 expect_catch pragma-once
-
-# --- self-contained: a header using std::vector without including it.
-fresh_tree
-expect_clean self-contained
-cat > "$scratch/tree/src/common/seeded_self_contained.hpp" <<'EOF'
-#pragma once
-inline std::vector<int> seeded_not_self_contained() { return {}; }
-EOF
-expect_catch self-contained
 
 # --- completeness: every rule tcmplint advertises must have been exercised
 # above — a rule added to the linter without a seeded violation fails here.

@@ -48,7 +48,7 @@
 //                         (cmp/metrics_export.hpp; tools/tcmpstat reads it)
 //   --obs-level N         0=off 1=timeseries 2=trace (default: inferred from
 //                         the output options above)
-//   --sample-interval N   telemetry window length in cycles (default 10000)
+//   --timeseries-interval N telemetry window length in cycles (default 10000)
 //   --slack-report        print the slack/criticality distribution table
 //                         (class x wire realized-slack; implies telemetry)
 //   --self-profile        attribute host wall-time per driver section and
@@ -116,7 +116,7 @@ struct Options {
   bool slack_report = false;
   bool self_profile = false;
   long obs_level = -1;  ///< -1 = infer from the output options
-  long sample_interval = 10'000;
+  long timeseries_interval = 10'000;
   long verify_interval = 0;  ///< 0 = coherence lint off
 };
 
@@ -141,7 +141,7 @@ obs::ObsConfig make_obs_config(const Options& o, const std::string& app,
   } else {
     oc.level = obs::Level::kTimeseries;
   }
-  oc.sample_interval = static_cast<Cycle>(o.sample_interval);
+  oc.sample_interval = static_cast<Cycle>(o.timeseries_interval);
   oc.trace_path = suffixed(o.trace_out, app, multi);
   oc.timeseries_path = suffixed(o.timeseries_out, app, multi);
   return oc;
@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
       "app",   "trace", "config",             "scheme",             "entries",
       "low",   "vl",    "tiles",  "threads",  "scale",              "format",
       "help",  "reply-partitioning",          "three-stage-router",
-      "trace-out", "timeseries-out", "obs-level", "sample-interval",
+      "trace-out", "timeseries-out", "obs-level", "timeseries-interval",
       "verify-interval", "metrics-out", "postmortem-out", "slack-report",
       "self-profile", "record", "replay", "checkpoint-out", "checkpoint-at",
       "checkpoint-in", "sample"};
@@ -295,14 +295,16 @@ int main(int argc, char** argv) {
   o.slack_report = args.get_flag("slack-report");
   o.self_profile = args.get_flag("self-profile");
   o.obs_level = args.get_long("obs-level", o.obs_level);
-  o.sample_interval = args.get_long("sample-interval", o.sample_interval);
+  o.timeseries_interval =
+      args.get_long("timeseries-interval", o.timeseries_interval);
   o.verify_interval = args.get_long("verify-interval", o.verify_interval);
   if (o.verify_interval < 0) {
     std::fprintf(stderr, "--verify-interval must be >= 0\n");
     return 2;
   }
-  if (o.obs_level > 2 || o.sample_interval < 1) {
-    std::fprintf(stderr, "--obs-level must be 0..2, --sample-interval >= 1\n");
+  if (o.obs_level > 2 || o.timeseries_interval < 1) {
+    std::fprintf(stderr,
+                 "--obs-level must be 0..2, --timeseries-interval >= 1\n");
     return 2;
   }
   // An explicit --obs-level below what an output file needs would silently
