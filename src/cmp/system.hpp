@@ -78,8 +78,8 @@ class CmpSystem {
   void step();
 
   /// Disable/enable dead-cycle skipping in run(). Results are bit-identical
-  /// either way; the per-cycle loop exists for A/B measurement
-  /// (bench/micro_kernel.cpp) and as a determinism cross-check.
+  /// either way; the per-cycle loop exists as a determinism cross-check
+  /// (EventKernelSystem.DeadCycleSkippingIsBitIdentical).
   void set_dead_cycle_skipping(bool on) { dead_cycle_skipping_ = on; }
   [[nodiscard]] bool dead_cycle_skipping() const { return dead_cycle_skipping_; }
 

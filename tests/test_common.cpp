@@ -367,6 +367,12 @@ TEST(StatRegistry, HandlesSurviveZeroAll) {
   EXPECT_EQ(h.get().bin_width(), 4u);
 }
 
+// A handle bump is one increment through one raw slot: no lookup, no
+// indirection table, nothing to construct or destroy. Growing the handle
+// would put work back on every hot-path stat bump.
+static_assert(std::is_trivially_copyable_v<CounterRef> &&
+              sizeof(CounterRef) == sizeof(std::uint64_t*));
+
 TEST(StatRegistry, HandleAndStringBumpsProduceIdenticalCounterMaps) {
   // The interning sweep must be invisible in the report: drive one registry
   // through string lookups and another through construction-time handles

@@ -155,12 +155,13 @@ struct RunResult {
   std::uint64_t instructions = 0;
 };
 
-RunResult run_cmp(unsigned threads) {
+RunResult run_cmp(unsigned threads, unsigned tiles = 16) {
   // Deliberately a non-golden (app, config) pairing — the goldens cover
   // MP3D-het, Barnes-baseline, Water-cheng and FFT-het; this pins a fresh
   // point of the space so the identity isn't an artifact of tuning to the
   // golden set.
   auto cfg = cmp::CmpConfig::cheng3way();
+  cfg.with_tiles(tiles);
   cfg.threads = threads;
   cmp::CmpSystem system(
       cfg, std::make_shared<workloads::SyntheticApp>(
@@ -173,22 +174,31 @@ RunResult run_cmp(unsigned threads) {
   return r;
 }
 
-TEST(PartitionIdentity, CounterMapsEqualAcrossThreadCounts) {
-  const RunResult one = run_cmp(1);
-  const RunResult four = run_cmp(4);
-
-  EXPECT_EQ(one.cycles, four.cycles);
-  EXPECT_EQ(one.instructions, four.instructions);
+/// Full map equality — same key set, same values — not just totals. Reports
+/// any divergent counter by name for debuggability.
+void expect_same_run(const RunResult& one, const RunResult& k, unsigned threads) {
+  EXPECT_EQ(one.cycles, k.cycles);
+  EXPECT_EQ(one.instructions, k.instructions);
   ASSERT_FALSE(one.counters.empty());
-
-  // Full map equality — same key set, same values — not just totals. Report
-  // any divergent counter by name for debuggability.
   for (const auto& [name, value] : one.counters) {
-    auto it = four.counters.find(name);
-    ASSERT_NE(it, four.counters.end()) << "counter missing at K=4: " << name;
-    EXPECT_EQ(it->second, value) << "counter diverges at K=4: " << name;
+    auto it = k.counters.find(name);
+    ASSERT_NE(it, k.counters.end())
+        << "counter missing at K=" << threads << ": " << name;
+    EXPECT_EQ(it->second, value)
+        << "counter diverges at K=" << threads << ": " << name;
   }
-  EXPECT_EQ(one.counters.size(), four.counters.size());
+  EXPECT_EQ(one.counters.size(), k.counters.size());
+}
+
+TEST(PartitionIdentity, CounterMapsEqualAcrossThreadCounts) {
+  expect_same_run(run_cmp(1), run_cmp(4), 4);
+}
+
+// An 8x8 mesh at K = 3 splits into uneven 3/3/2 row blocks, so boundary
+// rows, the remainder rule and cross-partition traffic all differ from the
+// 4x4 case above.
+TEST(PartitionIdentity, CounterMapsEqualAcrossThreadCountsAt64Tiles) {
+  expect_same_run(run_cmp(1, 64), run_cmp(3, 64), 3);
 }
 
 // ---- Slack telemetry identity across thread counts -----------------------

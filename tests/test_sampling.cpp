@@ -3,8 +3,9 @@
 // exactly the instruction stream the full-detail run retires — and the
 // statistical outputs (per-window CPI confidence interval, extrapolated
 // registry). Accuracy against the full run is asserted loosely here (the
-// committed tolerance lives in the perf-smoke gate, bench/BENCH_sampling.json);
-// what must hold tightly is determinism and instruction-count identity.
+// tighter bound is tools/perfgate.py's ceiling on perfbench's
+// cmp.sampling_cycle_error); what must hold tightly is determinism and
+// instruction-count identity.
 #include <gtest/gtest.h>
 
 #include <cmath>
